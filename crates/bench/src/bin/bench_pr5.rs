@@ -1,6 +1,5 @@
-//! PR 5 benchmark: the zero-decode serving path, the multi-worker engine,
-//! and the 1k-node scale-up — written to `BENCH_pr5.json` at the repo
-//! root.
+//! PR 5 benchmark: the zero-decode serving path and the 1k-node
+//! scale-up — written to `BENCH_pr5.json` at the repo root.
 //!
 //! Sections:
 //!
@@ -15,20 +14,12 @@
 //!    tentpole number.
 //! 3. **Batched vs naive** on the n ≥ 1024 workloads (cache disabled, so
 //!    it isolates elimination amortisation).
-//! 4. **Worker scaling** — the same steady traffic through `ParEngine` at
-//!    1, 2, …, `cores` workers over one shared store, with per-worker
-//!    rows. Every parallel run is differentially verified against the
-//!    serial engine on explicit random batches first. On a 1-core
-//!    container serial ≈ parallel is the expectation and is asserted
-//!    non-regressing, not skipped.
 //!
 //! Run with: `cargo run -p ftl-bench --bin bench_pr5 --release`
 
 use ftl_cycle_space::CycleSpaceScheme;
-use ftl_engine::{
-    run_scenario, BatchRequest, ConnQuery, Engine, EngineConfig, ParEngine, ScenarioConfig,
-};
-use ftl_graph::{generators, Graph};
+use ftl_engine::{run_scenario, BatchRequest, ConnQuery, Engine, EngineConfig, ScenarioConfig};
+use ftl_graph::generators;
 use ftl_seeded::Seed;
 use ftl_sketch::{SketchParams, SketchScheme};
 use std::fmt::Write as _;
@@ -86,29 +77,6 @@ fn steady_cfg() -> ScenarioConfig {
     steady.churn = 0.0;
     steady.verify = true;
     steady
-}
-
-/// Random batches for the explicit parallel-vs-serial differential check.
-fn differential_batches(g: &Graph, rng: &mut rand::rngs::StdRng) -> Vec<BatchRequest> {
-    use rand::Rng;
-    (0..4)
-        .map(|_| {
-            let fault_sets: Vec<Vec<ftl_graph::EdgeId>> = (0..3)
-                .map(|_| ftl_bench::sample_faults(g, 16, rng))
-                .collect();
-            let queries: Vec<ConnQuery> = (0..256)
-                .map(|_| ConnQuery {
-                    s: ftl_bench::sample_vertex(g, rng),
-                    t: ftl_bench::sample_vertex(g, rng),
-                    fault_set: rng.gen_range(0..fault_sets.len()),
-                })
-                .collect();
-            BatchRequest {
-                fault_sets,
-                queries,
-            }
-        })
-        .collect()
 }
 
 fn main() {
@@ -259,89 +227,6 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // 4. Worker scaling over one shared store.
-    // ------------------------------------------------------------------
-    let mut scaling_rows: Vec<String> = Vec::new();
-    {
-        let mut workloads = ftl_bench::scale_suite(&mut rng);
-        let w = workloads.remove(0); // grid-32x32
-        eprintln!("[bench_pr5] worker scaling on {}", w.name);
-        let scheme = CycleSpaceScheme::label(&w.graph, 16, Seed::new(8)).expect("connected");
-        // Heavy steady batches so thread fan-out amortises.
-        let mut cfg = ScenarioConfig::new("steady-parallel", 16);
-        cfg.rounds = 4;
-        cfg.fault_sets_per_round = 1;
-        cfg.queries_per_fault_set = 4096;
-        cfg.churn = 0.0;
-        let mut serial = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
-        let serial_report =
-            run_scenario(&w.graph, &w.name, &mut serial, None, &cfg).expect("serial scenario");
-        human.push(format!(
-            "scaling {:>10} serial          {:>9} qps",
-            w.name, serial_report.throughput_qps as u64
-        ));
-        let mut worker_counts: Vec<usize> = vec![1];
-        let mut c = 2;
-        while c < cores {
-            worker_counts.push(c);
-            c *= 2;
-        }
-        if cores > 1 {
-            worker_counts.push(cores);
-        }
-        for &workers in &worker_counts {
-            let mut par = ParEngine::new(serial.shared_store(), serial.config(), workers);
-            // Differential verification against the serial engine on
-            // explicit random batches before any timing.
-            let mut oracle = par.serial_engine();
-            for (i, req) in differential_batches(&w.graph, &mut rng).iter().enumerate() {
-                let p = par.execute(req).expect("par batch");
-                let s = oracle.execute(req).expect("serial batch");
-                assert_eq!(p.results, s.results, "par != serial on batch {i}");
-            }
-            let par_report =
-                run_scenario(&w.graph, &w.name, &mut par, None, &cfg).expect("parallel scenario");
-            assert_eq!(
-                par_report.reachable_fraction, serial_report.reachable_fraction,
-                "parallel run diverged from serial on identical traffic"
-            );
-            let ratio = par_report.throughput_qps / serial_report.throughput_qps;
-            if workers == 1 {
-                // On any machine a 1-worker ParEngine is the serial path
-                // plus bookkeeping: asserted non-regressing, not skipped.
-                // The bound is loose (two separately timed runs on a
-                // possibly-loaded runner) but catches a real per-query
-                // regression in the chunked path.
-                assert!(
-                    ratio >= 0.35,
-                    "1-worker ParEngine regressed to {ratio:.2}x of serial"
-                );
-            }
-            let per_worker: Vec<String> = par_report
-                .workers
-                .iter()
-                .map(|ws| {
-                    format!(
-                        "{{\"worker\": {}, \"queries\": {}, \"busy_ns\": {}, \"throughput_qps\": {:.0}}}",
-                        ws.worker, ws.queries, ws.busy_ns, ws.throughput_qps
-                    )
-                })
-                .collect();
-            scaling_rows.push(format!(
-                "{{\"workload\": \"{}\", \"workers\": {workers}, \"aggregate_qps\": {:.0}, \"serial_qps\": {:.0}, \"ratio_vs_serial\": {ratio:.2}, \"per_worker\": [{}]}}",
-                w.name,
-                par_report.throughput_qps,
-                serial_report.throughput_qps,
-                per_worker.join(", ")
-            ));
-            human.push(format!(
-                "scaling {:>10} workers={workers:<2}      {:>9} qps  ({ratio:.2}x serial)",
-                w.name, par_report.throughput_qps as u64
-            ));
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Report.
     // ------------------------------------------------------------------
     let mut json = String::new();
@@ -350,7 +235,7 @@ fn main() {
     writeln!(json, "  \"cores\": {cores},").unwrap();
     writeln!(
         json,
-        "  \"note\": \"zero_decode: PR4 steady-traffic scenario on identical traffic, wire-decoding path vs DecodedSidecar path. batched_vs_naive: cache disabled. worker_scaling: ParEngine over one shared Arc<LabelStore>, per-worker LRU caches, differentially verified against the serial engine; serial ~= parallel expected on a 1-core container. labeling: pr4 sketch baseline ~15 ms at n = 1024 on the 1-core bench container.\","
+        "  \"note\": \"zero_decode: PR4 steady-traffic scenario on identical traffic, wire-decoding path vs DecodedSidecar path. batched_vs_naive: cache disabled. labeling: pr4 sketch baseline ~15 ms at n = 1024 on the 1-core bench container.\","
     )
     .unwrap();
     writeln!(json, "  \"labeling\": [").unwrap();
@@ -378,12 +263,6 @@ fn main() {
     writeln!(json, "  \"batched_vs_naive\": [").unwrap();
     for (i, r) in decode_rows.iter().enumerate() {
         let comma = if i + 1 < decode_rows.len() { "," } else { "" };
-        writeln!(json, "    {r}{comma}").unwrap();
-    }
-    writeln!(json, "  ],").unwrap();
-    writeln!(json, "  \"worker_scaling\": [").unwrap();
-    for (i, r) in scaling_rows.iter().enumerate() {
-        let comma = if i + 1 < scaling_rows.len() { "," } else { "" };
         writeln!(json, "    {r}{comma}").unwrap();
     }
     writeln!(json, "  ]").unwrap();

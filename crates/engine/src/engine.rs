@@ -18,10 +18,19 @@
 //! [`EngineConfig::use_sidecar`] `= false` forces the wire path everywhere
 //! (the pre-sidecar behavior, kept as a benchmark baseline).
 //!
-//! The serving state lives in the private `EngineCore` — cache, scratch, and decoder
-//! arenas with no reference to a particular store — so one store shared
-//! behind an `Arc` can serve any number of engines;
-//! [`ParEngine`](crate::par::ParEngine) runs one core per worker thread.
+//! An engine is single-threaded serving state — cache, scratch, and
+//! decoder arenas — over a store shared behind an `Arc`, so one frozen
+//! store can serve any number of engines, one per serving thread (the
+//! server runs one per executor).
+//!
+//! # Panic containment
+//!
+//! Every entry point catches a panic at its unit of work: a batch for
+//! [`Engine::execute`] / [`Engine::execute_into`] /
+//! [`Engine::execute_naive`], a group for [`Engine::execute_grouped`].
+//! The unit fails with [`EngineError::Panicked`], the engine resets its
+//! cache and scratch (a panic may have unwound mid-update), and the next
+//! unit is served normally.
 //!
 //! The naive serving path — a fresh elimination per query — is kept as
 //! [`Engine::execute_naive`], both as the differential-testing oracle and
@@ -39,7 +48,7 @@ use ftl_gf2::BitVec;
 use ftl_graph::{EdgeId, VertexId};
 use ftl_labels::AncestryLabel;
 use std::fmt;
-use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Engine tuning knobs.
@@ -57,9 +66,9 @@ pub struct EngineConfig {
     /// behavior, kept for benchmarking the zero-decode win.
     pub use_sidecar: bool,
     /// Chaos hook: panic while resolving any fault set containing this
-    /// edge. Exercises [`crate::ParEngine`]'s panic containment
-    /// (`catch_unwind` → [`EngineError::WorkerPanicked`]); `None` (the
-    /// default) in all production configurations.
+    /// edge. Exercises the engine's panic containment (`catch_unwind` →
+    /// [`EngineError::Panicked`]); `None` (the default) in all production
+    /// configurations.
     pub chaos_panic_edge: Option<EdgeId>,
 }
 
@@ -87,13 +96,11 @@ pub enum EngineError {
     },
     /// A label was missing from the store or failed to decode.
     Store(StoreError),
-    /// A worker thread panicked mid-batch. The panic was contained
-    /// ([`crate::ParEngine`] catches it at the batch boundary): the batch
-    /// fails with this error, the process survives, and the worker's core
-    /// is reset before the next batch.
-    WorkerPanicked {
-        /// Index of the worker whose closure panicked.
-        worker: usize,
+    /// Serving panicked. The panic was contained at the unit of work (a
+    /// batch, or one group of a grouped execute): that unit fails with
+    /// this error, the process survives, and the engine resets its cache
+    /// and scratch before the next unit.
+    Panicked {
         /// The panic payload, when it was a string.
         message: String,
     },
@@ -106,9 +113,7 @@ impl fmt::Display for EngineError {
                 write!(f, "query names fault set {index}, request has {available}")
             }
             EngineError::Store(e) => write!(f, "label store: {e}"),
-            EngineError::WorkerPanicked { worker, message } => {
-                write!(f, "worker {worker} panicked: {message}")
-            }
+            EngineError::Panicked { message } => write!(f, "engine panicked: {message}"),
         }
     }
 }
@@ -191,7 +196,7 @@ pub type GroupQueryResult = Result<QueryResult, EngineError>;
 
 /// The outcome of one group of a grouped execute: per-query outcomes in
 /// group order, or the group-level error (an unresolvable fault set, a
-/// contained worker panic) that failed the whole group.
+/// contained panic) that failed the whole group.
 pub type GroupResult = Result<Vec<GroupQueryResult>, EngineError>;
 
 /// Response to a grouped execute: one [`GroupResult`] per submitted
@@ -199,7 +204,7 @@ pub type GroupResult = Result<Vec<GroupQueryResult>, EngineError>;
 ///
 /// Unlike [`Engine::execute`], grouped execution isolates failures at the
 /// finest granularity the work allows. Per **group**: a group whose fault
-/// set names a missing edge (or whose worker panicked) fails alone, and
+/// set names a missing edge (or whose serving panicked) fails alone, and
 /// every other group still gets its answers. Per **query** within a
 /// group: a query naming an out-of-range vertex fails alone
 /// ([`GroupQueryResult`]), and the group's other queries still get their
@@ -213,13 +218,21 @@ pub struct GroupedResponse {
     pub stats: BatchStats,
 }
 
-/// Per-thread serving state: the eliminated-basis cache, the decode
-/// scratch arenas, and the naive-path decoder. A core holds **no** store
-/// reference — callers pass the (shared, immutable) store into every call,
-/// which is what lets [`crate::par::ParEngine`] run one core per worker
-/// over a single `Arc<LabelStore>` with no shared mutable state.
+/// The sharded, batch-decoding label-query engine: single-threaded serving
+/// state over one (shareable) frozen store.
+///
+/// The serving state is the eliminated-basis cache, the decode scratch
+/// arenas, and the naive-path decoder; the store is only ever read, so any
+/// number of engines (one per serving thread) can share it lock-free.
+///
+/// Built with [`Engine::over_epochs`], the engine re-pins its store from
+/// the [`EpochStore`](crate::EpochStore) at every batch boundary: a batch
+/// always runs against one consistent snapshot, and a concurrent epoch
+/// swap becomes visible at the *next* batch without the reader ever
+/// blocking.
 #[derive(Debug)]
-pub(crate) struct EngineCore {
+pub struct Engine {
+    store: Arc<LabelStore>,
     config: EngineConfig,
     /// Eliminated bases keyed by the canonical fault-set hash **mixed with
     /// the store uid**, each entry also carrying the uid it was computed
@@ -235,412 +248,10 @@ pub(crate) struct EngineCore {
     naive: CycleSpaceDecoder,
     /// Reusable per-fault-set label buffer for the naive baseline path.
     naive_labels: Vec<Vec<CycleSpaceEdgeLabel>>,
-    /// Reusable resolved-set buffer for [`EngineCore::execute_into`] —
-    /// taken out of `self` for the duration of a batch (it borrows the
-    /// core mutably per entry), returned cleared.
+    /// Reusable resolved-set buffer for [`Engine::execute_into`] — taken
+    /// out of `self` for the duration of a batch (resolving borrows the
+    /// engine mutably per entry), returned cleared.
     resolved_scratch: Vec<Arc<EliminatedFaultSet>>,
-}
-
-impl EngineCore {
-    pub(crate) fn new(config: EngineConfig) -> Self {
-        EngineCore {
-            config,
-            cache: LruCache::new(config.cache_capacity),
-            diff: BitVec::zeros(0),
-            ids_scratch: Vec::new(),
-            naive: CycleSpaceDecoder::new(),
-            naive_labels: Vec::new(),
-            resolved_scratch: Vec::new(),
-        }
-    }
-
-    pub(crate) fn cache_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    pub(crate) fn cache_misses(&self) -> u64 {
-        self.cache.misses()
-    }
-
-    /// The ancestry interval of `v`: a sidecar array read on the hot path,
-    /// wire decoding only for records the sidecar could not place.
-    // ftl-analyzer: hot-path
-    #[inline]
-    fn vertex_anc(&self, store: &LabelStore, v: VertexId) -> Result<AncestryLabel, EngineError> {
-        if self.config.use_sidecar {
-            if let Some(anc) = store.sidecar().vertex_anc(v) {
-                return Ok(anc);
-            }
-        }
-        ftl_obs::global().engine.sidecar_fallbacks.inc();
-        // ftl-analyzer: allow(hot-alloc) wire fallback only for records the sidecar could not place
-        Ok(store.vertex_label::<CycleSpaceVertexLabel>(v)?.anc)
-    }
-
-    /// Resolves one fault set to its eliminated basis: canonicalise, probe
-    /// the cache, eliminate on miss — from the sidecar's `φ` bank when it
-    /// covers the whole set, from wire otherwise.
-    pub(crate) fn resolve_fault_set(
-        &mut self,
-        store: &LabelStore,
-        faults: &[EdgeId],
-        stats: &mut BatchStats,
-    ) -> Result<Arc<EliminatedFaultSet>, EngineError> {
-        self.ids_scratch.clear();
-        self.ids_scratch.extend_from_slice(faults);
-        self.ids_scratch.sort();
-        self.ids_scratch.dedup();
-        if let Some(chaos) = self.config.chaos_panic_edge {
-            if self.ids_scratch.contains(&chaos) {
-                // The whole point of this hook is to panic: it exercises
-                // ParEngine's catch_unwind containment. Never set in
-                // production configs.
-                #[allow(clippy::panic)]
-                {
-                    // ftl-analyzer: allow(panic-free) deliberate chaos-injection hook
-                    panic!(
-                        "chaos: injected panic resolving fault set containing edge {}",
-                        chaos.index()
-                    );
-                }
-            }
-        }
-        // The store uid is folded into the hash so entries from different
-        // epochs land in different slots instead of evicting each other,
-        // and checked on hit so a stale epoch's basis (same ids, different
-        // φ bank) can never be served.
-        let uid = store.uid();
-        let hash = canonical_fault_hash(&self.ids_scratch) ^ ftl_seeded::splitmix64(uid);
-        if let Some((cached_uid, efs)) = self.cache.get(hash) {
-            // Guard against 64-bit hash collisions between distinct fault
-            // sets: a hit only counts if the canonical ids really match.
-            // On a collision the sets simply keep re-eliminating (correct,
-            // just slower) as the cache slot ping-pongs.
-            if *cached_uid == uid && efs.edge_ids() == self.ids_scratch.as_slice() {
-                stats.cache_hits += 1;
-                return Ok(Arc::clone(efs));
-            }
-        }
-        let ids = self.ids_scratch.clone();
-        // Time the elimination itself (cold path: cache hits returned
-        // above) into the process-wide Elimination stage histogram.
-        let eliminate_t0 = std::time::Instant::now();
-        let efs = if self.config.use_sidecar && store.sidecar().covers_edges(&ids) {
-            EliminatedFaultSet::eliminate_from_sidecar(ids, store.sidecar())?
-        } else {
-            let labels: Vec<CycleSpaceEdgeLabel> = ids
-                .iter()
-                .map(|&e| store.edge_label(e))
-                .collect::<Result<_, _>>()?;
-            EliminatedFaultSet::eliminate(ids, labels)
-        };
-        ftl_obs::global().stages.record(
-            ftl_obs::Stage::Elimination,
-            eliminate_t0.elapsed().as_nanos() as u64,
-        );
-        let efs = Arc::new(efs);
-        stats.eliminations += 1;
-        self.cache.insert(hash, (uid, Arc::clone(&efs)));
-        Ok(efs)
-    }
-
-    /// Serves a batch: one elimination (or cache hit) per distinct fault
-    /// set, a parity test per query. Results come back in request order.
-    pub(crate) fn execute(
-        &mut self,
-        store: &LabelStore,
-        req: &BatchRequest,
-    ) -> Result<BatchResponse, EngineError> {
-        let mut stats = BatchStats {
-            queries: req.queries.len(),
-            fault_sets: req.fault_sets.len(),
-            ..BatchStats::default()
-        };
-        let resolved: Vec<Arc<EliminatedFaultSet>> = req
-            .fault_sets
-            .iter()
-            .map(|fs| self.resolve_fault_set(store, fs, &mut stats))
-            .collect::<Result<_, _>>()?;
-        let mut results = Vec::with_capacity(req.queries.len());
-        for q in &req.queries {
-            let efs = resolved
-                .get(q.fault_set)
-                .ok_or(EngineError::UnknownFaultSet {
-                    index: q.fault_set,
-                    available: resolved.len(),
-                })?;
-            results.push(self.answer(store, efs, q)?);
-        }
-        Ok(BatchResponse { results, stats })
-    }
-
-    /// [`EngineCore::execute`], but refilling a caller-owned response
-    /// instead of allocating one — the steady-state serving shape. The
-    /// response's `results` vector and the core's resolved-set scratch are
-    /// both reused, so a cache-hot sidecar-served batch performs **zero**
-    /// heap allocations end to end (asserted at runtime by the
-    /// counting-allocator test `alloc_free.rs`, and lexically by
-    /// `ftl-analyzer`'s hot-path rule).
-    pub(crate) fn execute_into(
-        &mut self,
-        store: &LabelStore,
-        req: &BatchRequest,
-        out: &mut BatchResponse,
-    ) -> Result<(), EngineError> {
-        out.results.clear();
-        out.stats = BatchStats {
-            queries: req.queries.len(),
-            fault_sets: req.fault_sets.len(),
-            ..BatchStats::default()
-        };
-        // Take the scratch out of `self` for the batch: filling it needs
-        // `&mut self` per entry, and `answer` needs `&mut self` per query.
-        let mut resolved = std::mem::take(&mut self.resolved_scratch);
-        resolved.clear();
-        let mut failed = None;
-        for fs in &req.fault_sets {
-            match self.resolve_fault_set(store, fs, &mut out.stats) {
-                Ok(efs) => resolved.push(efs),
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        if failed.is_none() {
-            for q in &req.queries {
-                let step = resolved
-                    .get(q.fault_set)
-                    .ok_or(EngineError::UnknownFaultSet {
-                        index: q.fault_set,
-                        available: resolved.len(),
-                    })
-                    .and_then(|efs| {
-                        let efs = Arc::clone(efs);
-                        self.answer(store, &efs, q)
-                    });
-                match step {
-                    Ok(r) => out.results.push(r),
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        // Drop the batch's Arcs but keep the vector's capacity, then put
-        // the scratch back — even on the error path.
-        resolved.clear();
-        self.resolved_scratch = resolved;
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Serves one pre-grouped fault-set batch: resolve the set once,
-    /// answer its queries. Only a fault set that fails to resolve fails
-    /// the group as a unit; a query that fails on its own (out-of-range
-    /// vertex) carries its error in its [`GroupQueryResult`] slot without
-    /// touching its neighbors — a group merges queries from many
-    /// independent requests, so one bad vertex id must not poison the
-    /// rest. See [`GroupedResponse`] for the isolation contract.
-    pub(crate) fn execute_group(
-        &mut self,
-        store: &LabelStore,
-        group: &FaultSetBatch,
-        stats: &mut BatchStats,
-    ) -> GroupResult {
-        let efs = self.resolve_fault_set(store, &group.faults, stats)?;
-        let mut results = Vec::with_capacity(group.queries.len());
-        for &(s, t) in &group.queries {
-            let q = ConnQuery { s, t, fault_set: 0 };
-            results.push(self.answer(store, &efs, &q));
-        }
-        stats.queries += group.queries.len();
-        Ok(results)
-    }
-
-    /// Serves a slice of pre-grouped batches, isolating failures per
-    /// group (and per query within a group). Never fails wholesale: the
-    /// per-group and per-query `Result`s carry the errors.
-    pub(crate) fn execute_grouped(
-        &mut self,
-        store: &LabelStore,
-        groups: &[FaultSetBatch],
-    ) -> GroupedResponse {
-        let mut stats = BatchStats {
-            fault_sets: groups.len(),
-            ..BatchStats::default()
-        };
-        let results = groups
-            .iter()
-            .map(|g| self.execute_group(store, g, &mut stats))
-            .collect();
-        GroupedResponse {
-            groups: results,
-            stats,
-        }
-    }
-
-    /// [`EngineCore::execute`] restricted to `queries[range]` — the
-    /// per-worker slice of a [`crate::par::ParEngine`] batch. Fault sets
-    /// are resolved lazily, so a worker eliminates (and caches) only the
-    /// sets its own queries reference.
-    pub(crate) fn execute_range(
-        &mut self,
-        store: &LabelStore,
-        req: &BatchRequest,
-        range: Range<usize>,
-    ) -> Result<(Vec<QueryResult>, BatchStats), EngineError> {
-        let mut stats = BatchStats {
-            queries: range.len(),
-            fault_sets: req.fault_sets.len(),
-            ..BatchStats::default()
-        };
-        let mut resolved: Vec<Option<Arc<EliminatedFaultSet>>> = vec![None; req.fault_sets.len()];
-        let mut results = Vec::with_capacity(range.len());
-        for q in &req.queries[range] {
-            // `resolved` is a local, so cloning an entry's Arc out does
-            // not pin `self`: answer() can still take its scratch mutably.
-            // (The bounds probe and lazy fill collapse into one `get_mut`
-            // so no infallible index ever follows a "just filled" fact.)
-            let slot = resolved
-                .get_mut(q.fault_set)
-                .ok_or(EngineError::UnknownFaultSet {
-                    index: q.fault_set,
-                    available: req.fault_sets.len(),
-                })?;
-            let efs = match slot {
-                Some(efs) => Arc::clone(efs),
-                None => {
-                    let efs =
-                        self.resolve_fault_set(store, &req.fault_sets[q.fault_set], &mut stats)?;
-                    resolved[q.fault_set] = Some(Arc::clone(&efs));
-                    efs
-                }
-            };
-            results.push(self.answer(store, &efs, q)?);
-        }
-        Ok((results, stats))
-    }
-
-    /// Answers one query against its eliminated fault set — the zero-decode
-    /// kernel: two ancestry lookups, one interval compare per tree fault,
-    /// one AND-popcount per generator.
-    // ftl-analyzer: hot-path
-    #[inline]
-    fn answer(
-        &mut self,
-        store: &LabelStore,
-        efs: &EliminatedFaultSet,
-        q: &ConnQuery,
-    ) -> Result<QueryResult, EngineError> {
-        let s_anc = self.vertex_anc(store, q.s)?;
-        let t_anc = self.vertex_anc(store, q.t)?;
-        let gen = efs.separating_generator_anc(&s_anc, &t_anc, &mut self.diff);
-        Ok(QueryResult {
-            connected: gen.is_none(),
-            certificate: match gen {
-                // ftl-analyzer: allow(hot-alloc) certificates are opt-in and only built for disconnected queries
-                Some(g) if self.config.collect_certificates => Some(efs.certificate(g)),
-                _ => None,
-            },
-        })
-    }
-
-    /// The naive serving path: labels are still fetched per fault set, but
-    /// every query pays a **fresh elimination** of the augmented system
-    /// (the pre-engine `ftl_cycle_space::decode` formulation). Baseline for
-    /// the batched path; also its differential oracle.
-    ///
-    /// All elimination state is arena-reused across queries (the core's
-    /// [`CycleSpaceDecoder`] and per-set label buffers), so what this
-    /// measures against [`EngineCore::execute`] is the algorithmic gap —
-    /// per-query elimination versus shared elimination — not allocator
-    /// noise.
-    pub(crate) fn execute_naive(
-        &mut self,
-        store: &LabelStore,
-        req: &BatchRequest,
-    ) -> Result<BatchResponse, EngineError> {
-        let mut stats = BatchStats {
-            queries: req.queries.len(),
-            fault_sets: req.fault_sets.len(),
-            ..BatchStats::default()
-        };
-        // Decode each fault set's labels once into reusable buffers —
-        // through the sidecar when it covers them (decode-free, like the
-        // batched path), from wire otherwise.
-        if self.naive_labels.len() < req.fault_sets.len() {
-            self.naive_labels
-                .resize_with(req.fault_sets.len(), Vec::new);
-        }
-        for (buf, fs) in self.naive_labels.iter_mut().zip(&req.fault_sets) {
-            buf.clear();
-            for &e in fs {
-                let label = if self.config.use_sidecar {
-                    match store.sidecar().materialize_edge_label(e) {
-                        Some(l) => l,
-                        None => store.edge_label(e)?,
-                    }
-                } else {
-                    store.edge_label(e)?
-                };
-                buf.push(label);
-            }
-        }
-        let mut results = Vec::with_capacity(req.queries.len());
-        for q in &req.queries {
-            if q.fault_set >= req.fault_sets.len() {
-                return Err(EngineError::UnknownFaultSet {
-                    index: q.fault_set,
-                    available: req.fault_sets.len(),
-                });
-            }
-            let s_anc = self.vertex_anc(store, q.s)?;
-            let t_anc = self.vertex_anc(store, q.t)?;
-            let sl = CycleSpaceVertexLabel { anc: s_anc };
-            let tl = CycleSpaceVertexLabel { anc: t_anc };
-            let labels = &self.naive_labels[q.fault_set];
-            stats.eliminations += 1;
-            let (connected, certificate) = if self.config.collect_certificates {
-                match self.naive.decode_with_certificate(&sl, &tl, labels) {
-                    Some(idx) => (
-                        false,
-                        Some(
-                            idx.into_iter()
-                                .map(|i| req.fault_sets[q.fault_set][i])
-                                .collect(),
-                        ),
-                    ),
-                    None => (true, None),
-                }
-            } else {
-                // Boolean decode: no certificate is ever materialized, so
-                // separated queries allocate nothing either.
-                (self.naive.decode(&sl, &tl, labels), None)
-            };
-            results.push(QueryResult {
-                connected,
-                certificate,
-            });
-        }
-        Ok(BatchResponse { results, stats })
-    }
-}
-
-/// The sharded, batch-decoding label-query engine: one per-thread serving
-/// core (cache + scratch) over one (shareable) frozen store.
-///
-/// Built with [`Engine::over_epochs`], the engine re-pins its store from
-/// the [`EpochStore`](crate::EpochStore) at every batch boundary: a batch
-/// always runs against one consistent snapshot, and a concurrent epoch
-/// swap becomes visible at the *next* batch without the reader ever
-/// blocking.
-pub struct Engine {
-    store: Arc<LabelStore>,
-    core: EngineCore,
     /// Publication point to re-pin from at batch boundaries, when epoch-
     /// following; `None` for engines over a fixed store.
     epochs: Option<Arc<crate::epoch::EpochStore>>,
@@ -655,11 +266,17 @@ impl Engine {
     }
 
     /// Builds an engine over a store already shared behind an `Arc` —
-    /// e.g. the same store a [`crate::par::ParEngine`] serves.
+    /// e.g. the same store another engine serves.
     pub fn with_shared(store: Arc<LabelStore>, config: EngineConfig) -> Self {
         Engine {
             store,
-            core: EngineCore::new(config),
+            config,
+            cache: LruCache::new(config.cache_capacity),
+            diff: BitVec::zeros(0),
+            ids_scratch: Vec::new(),
+            naive: CycleSpaceDecoder::new(),
+            naive_labels: Vec::new(),
+            resolved_scratch: Vec::new(),
             epochs: None,
             epoch: 0,
         }
@@ -669,17 +286,15 @@ impl Engine {
     /// snapshot current at its start, re-pinned per batch.
     pub fn over_epochs(epochs: Arc<crate::epoch::EpochStore>, config: EngineConfig) -> Self {
         let current = epochs.current();
-        Engine {
-            store: Arc::clone(current.store()),
-            core: EngineCore::new(config),
-            epochs: Some(epochs),
-            epoch: current.number(),
-        }
+        let mut engine = Engine::with_shared(Arc::clone(current.store()), config);
+        engine.epoch = current.number();
+        engine.epochs = Some(epochs);
+        engine
     }
 
     /// Re-pins the store from the epoch source, if following one. The
-    /// stale-epoch cache guard lives in the core (keyed by store uid), so
-    /// nothing needs flushing here.
+    /// stale-epoch cache guard is keyed by store uid, so nothing needs
+    /// flushing here.
     fn refresh_epoch(&mut self) {
         if let Some(epochs) = &self.epochs {
             let current = epochs.current();
@@ -721,25 +336,27 @@ impl Engine {
         &self.store
     }
 
-    /// A shared handle to the store (for standing up further engines or a
-    /// [`crate::par::ParEngine`] over the same frozen labels).
+    /// A shared handle to the store (for standing up further engines over
+    /// the same frozen labels).
     pub fn shared_store(&self) -> Arc<LabelStore> {
         Arc::clone(&self.store)
     }
 
     /// Engine configuration.
     pub fn config(&self) -> EngineConfig {
-        self.core.config
+        self.config
     }
 
-    /// Cumulative cache hits since construction.
+    /// Cumulative cache hits since construction (or since the last
+    /// contained panic, which resets the cache).
     pub fn cache_hits(&self) -> u64 {
-        self.core.cache_hits()
+        self.cache.hits()
     }
 
-    /// Cumulative cache misses since construction.
+    /// Cumulative cache misses since construction (or since the last
+    /// contained panic).
     pub fn cache_misses(&self) -> u64 {
-        self.core.cache_misses()
+        self.cache.misses()
     }
 
     /// Serves a batch: one elimination (or cache hit) per distinct fault
@@ -747,13 +364,15 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Fails if a query names a fault set the request does not carry, or if
-    /// a referenced label is missing from the store / fails to decode.
+    /// Fails if a query names a fault set the request does not carry, if
+    /// a referenced label is missing from the store / fails to decode, or
+    /// with [`EngineError::Panicked`] if serving the batch panicked.
     pub fn execute(&mut self, req: &BatchRequest) -> Result<BatchResponse, EngineError> {
-        self.refresh_epoch();
-        let mut resp = self.core.execute(&self.store, req)?;
-        resp.stats.epoch = self.epoch;
-        record_obs_batch(&resp.stats);
+        let mut resp = BatchResponse {
+            results: Vec::with_capacity(req.queries.len()),
+            stats: BatchStats::default(),
+        };
+        self.execute_into(req, &mut resp)?;
         Ok(resp)
     }
 
@@ -762,10 +381,12 @@ impl Engine {
     /// response around performs zero heap allocations per cache-hot
     /// sidecar-served batch once its buffers have warmed up (the runtime
     /// twin of `ftl-analyzer`'s no-alloc hot-path rule; asserted by the
-    /// counting-allocator test).
+    /// counting-allocator test `alloc_free.rs`).
     ///
-    /// On error the response's contents are unspecified (its buffers are
-    /// still valid to reuse).
+    /// Every fault set is resolved before any query is answered, so a
+    /// fault set naming a missing edge fails the batch even when no query
+    /// references it. On error the response's contents are unspecified
+    /// (its buffers are still valid to reuse).
     ///
     /// # Errors
     ///
@@ -776,39 +397,319 @@ impl Engine {
         out: &mut BatchResponse,
     ) -> Result<(), EngineError> {
         self.refresh_epoch();
-        self.core.execute_into(&self.store, req, out)?;
-        out.stats.epoch = self.epoch;
+        out.results.clear();
+        out.stats = BatchStats {
+            queries: req.queries.len(),
+            fault_sets: req.fault_sets.len(),
+            epoch: self.epoch,
+            ..BatchStats::default()
+        };
+        self.contained(|engine| engine.serve_batch(req, out))?;
         record_obs_batch(&out.stats);
         Ok(())
+    }
+
+    /// The body of [`Engine::execute_into`]: resolve every fault set, then
+    /// answer the queries in order, stopping at the first error.
+    fn serve_batch(
+        &mut self,
+        req: &BatchRequest,
+        out: &mut BatchResponse,
+    ) -> Result<(), EngineError> {
+        // Take the scratch out of `self` for the batch: filling it needs
+        // `&mut self` per entry, and `answer` needs `&mut self` per query.
+        let mut resolved = std::mem::take(&mut self.resolved_scratch);
+        let mut fill = || -> Result<(), EngineError> {
+            for fs in &req.fault_sets {
+                resolved.push(self.resolve_fault_set(fs, &mut out.stats)?);
+            }
+            for q in &req.queries {
+                let efs = resolved
+                    .get(q.fault_set)
+                    .ok_or(EngineError::UnknownFaultSet {
+                        index: q.fault_set,
+                        available: resolved.len(),
+                    })?;
+                out.results.push(self.answer(efs, q)?);
+            }
+            Ok(())
+        };
+        let result = fill();
+        // Drop the batch's Arcs but keep the vector's capacity, then put
+        // the scratch back — even on the error path.
+        resolved.clear();
+        self.resolved_scratch = resolved;
+        result
     }
 
     /// Serves pre-grouped fault-set batches — the batching front end's
     /// entry point ([`FaultSetBatch`] is what `ftl-server` builds after
     /// grouping cross-connection traffic by canonical fault-set hash).
-    /// Each group pays one elimination (or cache hit); failures are
-    /// isolated per group, so the call itself never fails — see
-    /// [`GroupedResponse`].
+    /// Each group pays one elimination (or cache hit); failures — a panic
+    /// included — are isolated per group, so the call itself never fails.
+    /// See [`GroupedResponse`].
     pub fn execute_grouped(&mut self, groups: &[FaultSetBatch]) -> GroupedResponse {
         self.refresh_epoch();
-        let mut resp = self.core.execute_grouped(&self.store, groups);
-        resp.stats.epoch = self.epoch;
-        record_obs_batch(&resp.stats);
-        resp
+        let mut stats = BatchStats {
+            fault_sets: groups.len(),
+            epoch: self.epoch,
+            ..BatchStats::default()
+        };
+        let results = groups
+            .iter()
+            .map(|g| self.contained(|engine| engine.execute_group(g, &mut stats)))
+            .collect();
+        record_obs_batch(&stats);
+        GroupedResponse {
+            groups: results,
+            stats,
+        }
+    }
+
+    /// Serves one pre-grouped fault-set batch: resolve the set once,
+    /// answer its queries. Only a fault set that fails to resolve fails
+    /// the group as a unit; a query that fails on its own (out-of-range
+    /// vertex) carries its error in its [`GroupQueryResult`] slot without
+    /// touching its neighbors — a group merges queries from many
+    /// independent requests, so one bad vertex id must not poison the
+    /// rest.
+    fn execute_group(&mut self, group: &FaultSetBatch, stats: &mut BatchStats) -> GroupResult {
+        let efs = self.resolve_fault_set(&group.faults, stats)?;
+        let mut results = Vec::with_capacity(group.queries.len());
+        for &(s, t) in &group.queries {
+            let q = ConnQuery { s, t, fault_set: 0 };
+            results.push(self.answer(&efs, &q));
+        }
+        stats.queries += group.queries.len();
+        Ok(results)
+    }
+
+    /// Runs one unit of work, containing a panic inside it: the unit fails
+    /// with [`EngineError::Panicked`] and the engine resets its cache and
+    /// scratch, which the panic may have left mid-update.
+    fn contained<T>(
+        &mut self,
+        work: impl FnOnce(&mut Self) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        match catch_unwind(AssertUnwindSafe(|| work(&mut *self))) {
+            Ok(result) => result,
+            Err(payload) => {
+                let epochs = self.epochs.take();
+                *self = Engine {
+                    epochs,
+                    epoch: self.epoch,
+                    ..Engine::with_shared(self.shared_store(), self.config)
+                };
+                Err(EngineError::Panicked {
+                    message: panic_message(payload.as_ref()),
+                })
+            }
+        }
+    }
+
+    /// The ancestry interval of `v`: a sidecar array read on the hot path,
+    /// wire decoding only for records the sidecar could not place.
+    // ftl-analyzer: hot-path
+    #[inline]
+    fn vertex_anc(&self, v: VertexId) -> Result<AncestryLabel, EngineError> {
+        if self.config.use_sidecar {
+            if let Some(anc) = self.store.sidecar().vertex_anc(v) {
+                return Ok(anc);
+            }
+        }
+        ftl_obs::global().engine.sidecar_fallbacks.inc();
+        // ftl-analyzer: allow(hot-alloc) wire fallback only for records the sidecar could not place
+        Ok(self.store.vertex_label::<CycleSpaceVertexLabel>(v)?.anc)
+    }
+
+    /// Resolves one fault set to its eliminated basis: canonicalise, probe
+    /// the cache, eliminate on miss — from the sidecar's `φ` bank when it
+    /// covers the whole set, from wire otherwise.
+    fn resolve_fault_set(
+        &mut self,
+        faults: &[EdgeId],
+        stats: &mut BatchStats,
+    ) -> Result<Arc<EliminatedFaultSet>, EngineError> {
+        self.ids_scratch.clear();
+        self.ids_scratch.extend_from_slice(faults);
+        self.ids_scratch.sort();
+        self.ids_scratch.dedup();
+        if let Some(chaos) = self.config.chaos_panic_edge {
+            if self.ids_scratch.contains(&chaos) {
+                // The whole point of this hook is to panic: it exercises
+                // the engine's catch_unwind containment. Never set in
+                // production configs.
+                #[allow(clippy::panic)]
+                {
+                    // ftl-analyzer: allow(panic-free) deliberate chaos-injection hook
+                    panic!(
+                        "chaos: injected panic resolving fault set containing edge {}",
+                        chaos.index()
+                    );
+                }
+            }
+        }
+        // The store uid is folded into the hash so entries from different
+        // epochs land in different slots instead of evicting each other,
+        // and checked on hit so a stale epoch's basis (same ids, different
+        // φ bank) can never be served.
+        let uid = self.store.uid();
+        let hash = canonical_fault_hash(&self.ids_scratch) ^ ftl_seeded::splitmix64(uid);
+        if let Some((cached_uid, efs)) = self.cache.get(hash) {
+            // Guard against 64-bit hash collisions between distinct fault
+            // sets: a hit only counts if the canonical ids really match.
+            // On a collision the sets simply keep re-eliminating (correct,
+            // just slower) as the cache slot ping-pongs.
+            if *cached_uid == uid && efs.edge_ids() == self.ids_scratch.as_slice() {
+                stats.cache_hits += 1;
+                return Ok(Arc::clone(efs));
+            }
+        }
+        let ids = self.ids_scratch.clone();
+        // Time the elimination itself (cold path: cache hits returned
+        // above) into the process-wide Elimination stage histogram.
+        let eliminate_t0 = std::time::Instant::now();
+        let store = &self.store;
+        let efs = if self.config.use_sidecar && store.sidecar().covers_edges(&ids) {
+            EliminatedFaultSet::eliminate_from_sidecar(ids, store.sidecar())?
+        } else {
+            let labels: Vec<CycleSpaceEdgeLabel> = ids
+                .iter()
+                .map(|&e| store.edge_label(e))
+                .collect::<Result<_, _>>()?;
+            EliminatedFaultSet::eliminate(ids, labels)
+        };
+        ftl_obs::global().stages.record(
+            ftl_obs::Stage::Elimination,
+            eliminate_t0.elapsed().as_nanos() as u64,
+        );
+        let efs = Arc::new(efs);
+        stats.eliminations += 1;
+        self.cache.insert(hash, (uid, Arc::clone(&efs)));
+        Ok(efs)
+    }
+
+    /// Answers one query against its eliminated fault set — the zero-decode
+    /// kernel: two ancestry lookups, one interval compare per tree fault,
+    /// one AND-popcount per generator.
+    // ftl-analyzer: hot-path
+    #[inline]
+    fn answer(
+        &mut self,
+        efs: &EliminatedFaultSet,
+        q: &ConnQuery,
+    ) -> Result<QueryResult, EngineError> {
+        let s_anc = self.vertex_anc(q.s)?;
+        let t_anc = self.vertex_anc(q.t)?;
+        let gen = efs.separating_generator_anc(&s_anc, &t_anc, &mut self.diff);
+        Ok(QueryResult {
+            connected: gen.is_none(),
+            certificate: match gen {
+                // ftl-analyzer: allow(hot-alloc) certificates are opt-in and only built for disconnected queries
+                Some(g) if self.config.collect_certificates => Some(efs.certificate(g)),
+                _ => None,
+            },
+        })
     }
 
     /// The naive serving path — a fresh elimination per query — kept as
-    /// the benchmark baseline and differential oracle. See
-    /// `EngineCore::execute_naive` for the arena-reuse story.
+    /// the benchmark baseline and differential oracle: labels are still
+    /// fetched per fault set, but every query pays a **fresh elimination**
+    /// of the augmented system (the pre-engine `ftl_cycle_space::decode`
+    /// formulation).
+    ///
+    /// All elimination state is arena-reused across queries (the engine's
+    /// [`CycleSpaceDecoder`] and per-set label buffers), so what this
+    /// measures against [`Engine::execute`] is the algorithmic gap —
+    /// per-query elimination versus shared elimination — not allocator
+    /// noise.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`Engine::execute`].
     pub fn execute_naive(&mut self, req: &BatchRequest) -> Result<BatchResponse, EngineError> {
         self.refresh_epoch();
-        let mut resp = self.core.execute_naive(&self.store, req)?;
+        let mut resp = self.contained(|engine| engine.serve_naive(req))?;
         resp.stats.epoch = self.epoch;
         record_obs_batch(&resp.stats);
         Ok(resp)
+    }
+
+    fn serve_naive(&mut self, req: &BatchRequest) -> Result<BatchResponse, EngineError> {
+        let mut stats = BatchStats {
+            queries: req.queries.len(),
+            fault_sets: req.fault_sets.len(),
+            ..BatchStats::default()
+        };
+        // Decode each fault set's labels once into reusable buffers —
+        // through the sidecar when it covers them (decode-free, like the
+        // batched path), from wire otherwise.
+        if self.naive_labels.len() < req.fault_sets.len() {
+            self.naive_labels
+                .resize_with(req.fault_sets.len(), Vec::new);
+        }
+        for (buf, fs) in self.naive_labels.iter_mut().zip(&req.fault_sets) {
+            buf.clear();
+            for &e in fs {
+                let label = if self.config.use_sidecar {
+                    match self.store.sidecar().materialize_edge_label(e) {
+                        Some(l) => l,
+                        None => self.store.edge_label(e)?,
+                    }
+                } else {
+                    self.store.edge_label(e)?
+                };
+                buf.push(label);
+            }
+        }
+        let mut results = Vec::with_capacity(req.queries.len());
+        for q in &req.queries {
+            if q.fault_set >= req.fault_sets.len() {
+                return Err(EngineError::UnknownFaultSet {
+                    index: q.fault_set,
+                    available: req.fault_sets.len(),
+                });
+            }
+            let s_anc = self.vertex_anc(q.s)?;
+            let t_anc = self.vertex_anc(q.t)?;
+            let sl = CycleSpaceVertexLabel { anc: s_anc };
+            let tl = CycleSpaceVertexLabel { anc: t_anc };
+            let labels = &self.naive_labels[q.fault_set];
+            stats.eliminations += 1;
+            let (connected, certificate) = if self.config.collect_certificates {
+                match self.naive.decode_with_certificate(&sl, &tl, labels) {
+                    Some(idx) => (
+                        false,
+                        Some(
+                            idx.into_iter()
+                                .map(|i| req.fault_sets[q.fault_set][i])
+                                .collect(),
+                        ),
+                    ),
+                    None => (true, None),
+                }
+            } else {
+                // Boolean decode: no certificate is ever materialized, so
+                // separated queries allocate nothing either.
+                (self.naive.decode(&sl, &tl, labels), None)
+            };
+            results.push(QueryResult {
+                connected,
+                certificate,
+            });
+        }
+        Ok(BatchResponse { results, stats })
+    }
+}
+
+/// Best-effort text out of a panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 

@@ -20,9 +20,8 @@
 //!   mutate-and-publish took, is reported per swap in a [`SwapReport`].
 //!
 //! Readers built with [`Engine::over_epochs`](crate::Engine::over_epochs)
-//! / [`ParEngine::over_epochs`](crate::ParEngine::over_epochs) refresh
-//! their pinned snapshot at batch boundaries, so a swap becomes visible at
-//! the next batch — never mid-batch.
+//! refresh their pinned snapshot at batch boundaries, so a swap becomes
+//! visible at the next batch — never mid-batch.
 
 use crate::engine::EngineConfig;
 use crate::store::{LabelStore, LabelStoreBuilder, StoreError, StoreKey};

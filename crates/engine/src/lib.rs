@@ -24,7 +24,7 @@
 //! preserved as [`Engine::execute_naive`] for differential testing and
 //! benchmarking.
 //!
-//! The failure-mode catalogue (epoch swaps mid-batch, worker panics,
+//! The failure-mode catalogue (epoch swaps mid-batch, engine panics,
 //! corrupted labels) is `docs/robustness.md`; the network front end that
 //! feeds this engine batched queries is documented in `docs/serving.md`.
 
@@ -35,7 +35,6 @@ pub mod cache;
 pub mod engine;
 pub mod epoch;
 pub mod inject;
-pub mod par;
 pub mod scenario;
 pub mod store;
 
@@ -50,11 +49,9 @@ pub use inject::{
     corrupt_random_bytes, flip_random_bits, oversize_declared_bits, plan_edge_removals,
     plan_vertex_removals, truncate_record, RemovalModel,
 };
-pub use par::{ParEngine, WorkerStats};
 pub use scenario::{
     percentile_nearest_rank, run_churn_scenario, run_scenario, ChurnConfig, ChurnReport,
-    ChurnRoundReport, FaultModel, QueryEngine, RoundReport, ScenarioConfig, ScenarioReport,
-    StretchStats, WorkerSummary,
+    ChurnRoundReport, FaultModel, RoundReport, ScenarioConfig, ScenarioReport, StretchStats,
 };
 pub use store::{
     DecodedSidecar, LabelStore, LabelStoreBuilder, Namespace, SketchTreeEntry, StoreError, StoreKey,

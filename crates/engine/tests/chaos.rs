@@ -2,7 +2,7 @@
 //!
 //! Every test here injects a failure the serving path must survive
 //! *gracefully*: corrupted / truncated / length-lying wire records,
-//! worker panics mid-batch, readers racing snapshot swaps, adversarial
+//! engine panics mid-batch, readers racing snapshot swaps, adversarial
 //! targeted churn, and stale-cache hazards across epochs. "Gracefully"
 //! means a clean `EngineError` (never a crash), unaffected sibling
 //! queries, and 100% agreement with BFS ground truth after every swap.
@@ -18,8 +18,7 @@ use ftl_cycle_space::CycleSpaceScheme;
 use ftl_engine::{
     corrupt_random_bytes, full_store_of, oversize_declared_bits, plan_edge_removals,
     plan_vertex_removals, run_churn_scenario, truncate_record, BatchRequest, ChurnConfig,
-    ConnQuery, Engine, EngineConfig, EngineError, EpochStore, LiveStore, ParEngine, RemovalModel,
-    StoreKey,
+    ConnQuery, Engine, EngineConfig, EngineError, EpochStore, LiveStore, RemovalModel, StoreKey,
 };
 use ftl_graph::traversal::connected_avoiding;
 use ftl_graph::{generators, EdgeId, Graph, VertexId};
@@ -166,9 +165,9 @@ fn truncated_and_oversized_records_error_not_panic() {
 
 // -------------------------------------------------------------- panic chaos
 
-/// A worker panic mid-batch is contained: the batch fails with
-/// `WorkerPanicked`, the process survives, and the engine serves the next
-/// batch correctly on a rebuilt core.
+/// A panic mid-batch is contained: the batch fails with `Panicked`, the
+/// process survives, and the engine serves the next batch correctly on a
+/// reset cache and scratch.
 #[test]
 fn worker_panic_is_contained_and_engine_recovers() {
     let g = generators::grid(5, 5);
@@ -178,41 +177,40 @@ fn worker_panic_is_contained_and_engine_recovers() {
         chaos_panic_edge: Some(chaos_edge),
         ..EngineConfig::default()
     };
-    let mut par = ParEngine::from_cycle_space(&scheme, config, 4).unwrap();
+    let mut engine = Engine::from_cycle_space(&scheme, config).unwrap();
     // Any fault set containing the chaos edge detonates its resolver.
-    let out = par.execute(&batch(
+    let out = engine.execute(&batch(
         vec![chaos_edge, EdgeId::new(9)],
         &[(0, 24), (3, 21)],
     ));
     match out {
-        Err(EngineError::WorkerPanicked { worker, message }) => {
-            assert!(worker < 4);
+        Err(EngineError::Panicked { message }) => {
             assert!(
                 message.contains("chaos"),
                 "lost the panic payload: {message}"
             );
         }
-        other => panic!("expected WorkerPanicked, got {other:?}"),
+        other => panic!("expected Panicked, got {other:?}"),
     }
-    // The engine — same instance, cores rebuilt — keeps serving batches
-    // that avoid the tripwire, bit-identical to a fresh serial engine.
+    // The engine — same instance, state reset — keeps serving batches
+    // that avoid the tripwire, bit-identical to a fresh engine.
     let req = batch(
         vec![EdgeId::new(9), EdgeId::new(30)],
         &[(0, 24), (3, 21), (7, 18)],
     );
-    let resp = par
+    let resp = engine
         .execute(&req)
         .expect("engine must recover after a contained panic");
-    let mut serial = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
-    let reference = serial.execute(&req).unwrap();
+    let mut fresh = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
+    let reference = fresh.execute(&req).unwrap();
     assert_eq!(resp.results, reference.results);
     // And the tripwire still trips — containment is repeatable, not
     // one-shot.
     assert!(matches!(
-        par.execute(&batch(vec![chaos_edge], &[(0, 24)])),
-        Err(EngineError::WorkerPanicked { .. })
+        engine.execute(&batch(vec![chaos_edge], &[(0, 24)])),
+        Err(EngineError::Panicked { .. })
     ));
-    let resp2 = par.execute(&req).unwrap();
+    let resp2 = engine.execute(&req).unwrap();
     assert_eq!(resp2.results, reference.results);
 }
 
@@ -312,7 +310,7 @@ fn targeted_churn_rounds_keep_perfect_reachability() {
     let g = generators::barabasi_albert(150, 3, &mut StdRng::seed_from_u64(51));
     let config = EngineConfig::default();
     let mut store = LiveStore::new(&g, 4, Seed::new(52), config).unwrap();
-    let mut engine = ParEngine::over_epochs(Arc::clone(store.epochs()), config, 4);
+    let mut engine = Engine::over_epochs(Arc::clone(store.epochs()), config);
     let mut cfg = ChurnConfig::new("chaos-targeted", 4);
     cfg.model = RemovalModel::Targeted;
     cfg.rounds = 6;
@@ -476,7 +474,7 @@ fn churn_soak() {
         let g = generators::barabasi_albert(200, 3, &mut rng);
         let config = EngineConfig::default();
         let mut store = LiveStore::new(&g, 4, Seed::new(iteration), config).unwrap();
-        let mut engine = ParEngine::over_epochs(Arc::clone(store.epochs()), config, 4);
+        let mut engine = Engine::over_epochs(Arc::clone(store.epochs()), config);
         let mut cfg = ChurnConfig::new("soak", 4);
         cfg.seed = iteration;
         cfg.rounds = 10;

@@ -1,14 +1,12 @@
 //! The grouped batch-submission entry point: `execute_grouped` agrees
 //! with `execute`, eliminates once per group, and isolates failures —
-//! per group on the serial engine, per worker chunk on `ParEngine`.
+//! a bad fault set or a panic per group, a bad vertex per query.
 
 // Test code: panicking asserts are the point.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use ftl_cycle_space::CycleSpaceScheme;
-use ftl_engine::{
-    BatchRequest, ConnQuery, Engine, EngineConfig, EngineError, FaultSetBatch, ParEngine,
-};
+use ftl_engine::{BatchRequest, ConnQuery, Engine, EngineConfig, EngineError, FaultSetBatch};
 use ftl_graph::{generators, EdgeId, VertexId};
 use ftl_seeded::Seed;
 
@@ -73,28 +71,13 @@ fn grouped_agrees_with_indexed_execute() {
     assert_eq!(flat, indexed.results);
     assert_eq!(grouped.stats.queries, indexed.stats.queries);
     assert_eq!(grouped.stats.fault_sets, 3);
-}
-
-#[test]
-fn par_grouped_matches_serial_and_eliminates_once_per_group() {
-    let (g, scheme) = scheme();
-    let config = EngineConfig::default();
-    let par_store = Engine::from_cycle_space(&scheme, config)
-        .unwrap()
-        .shared_store();
-    for workers in [1, 2, 3, 5] {
-        let mut par = ParEngine::new(par_store.clone(), config, workers);
-        let mut serial = par.serial_engine();
-        let groups = groups(&g);
-        let pr = par.execute_grouped(&groups);
-        let sr = serial.execute_grouped(&groups);
-        for (p, s) in pr.groups.iter().zip(&sr.groups) {
-            assert_eq!(p.as_ref().unwrap(), s.as_ref().unwrap());
-        }
-        // Group-granular chunking: each distinct fault set is eliminated
-        // exactly once, on exactly one worker — never duplicated.
-        assert_eq!(pr.stats.eliminations, 3, "workers = {workers}");
-    }
+    // One resolution per group: the indexed call eliminated all three
+    // sets, so the grouped call is served entirely from the cache.
+    assert_eq!(indexed.stats.eliminations, 3);
+    assert_eq!(
+        (grouped.stats.eliminations, grouped.stats.cache_hits),
+        (0, 3)
+    );
 }
 
 #[test]
@@ -131,35 +114,39 @@ fn grouped_isolates_bad_vertex_to_its_own_query() {
     assert!(resp.groups[2].is_ok());
 }
 
+/// A panic while serving one group fails that group alone: the other
+/// groups of the same call keep their answers, and the engine — cache and
+/// scratch reset — serves the next call normally.
 #[test]
-fn par_grouped_contains_worker_panic_to_its_chunk() {
+fn grouped_contains_panic_to_its_own_group() {
     let (g, scheme) = scheme();
     let chaos = EdgeId::new(0);
     let config = EngineConfig {
         chaos_panic_edge: Some(chaos),
         ..EngineConfig::default()
     };
-    let mut par = ParEngine::from_cycle_space(&scheme, config, 3).unwrap();
-    let groups = groups(&g); // group 0 contains edge 0 → panics its worker
-    let resp = par.execute_grouped(&groups);
-    assert!(matches!(
-        resp.groups[0],
-        Err(EngineError::WorkerPanicked { .. })
-    ));
-    // With 3 workers and 3 groups each worker gets one group: the other
-    // two chunks complete and keep their answers.
-    assert!(resp.groups[1].is_ok());
-    assert!(resp.groups[2].is_ok());
-    // The engine survives and the panicked worker's core was rebuilt: a
-    // chaos-free replay fully succeeds.
-    let calm: Vec<FaultSetBatch> = groups
-        .iter()
-        .skip(1)
-        .map(|gr| FaultSetBatch {
-            faults: gr.faults.clone(),
-            queries: gr.queries.clone(),
-        })
-        .collect();
-    let resp = par.execute_grouped(&calm);
+    let mut engine = Engine::from_cycle_space(&scheme, config).unwrap();
+    let mut reference = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
+    let groups = groups(&g); // group 0 contains edge 0 → panics
+    let resp = engine.execute_grouped(&groups);
+    match &resp.groups[0] {
+        Err(EngineError::Panicked { message }) => {
+            assert!(
+                message.contains("chaos"),
+                "lost the panic payload: {message}"
+            );
+        }
+        other => panic!("expected Panicked, got {other:?}"),
+    }
+    // The groups after the panicking one keep their (correct) answers.
+    let expected = reference.execute_grouped(&groups[1..]);
+    assert_eq!(resp.groups[1], expected.groups[0]);
+    assert_eq!(resp.groups[2], expected.groups[1]);
+    // The engine survives: a chaos-free replay fully succeeds, and the
+    // tripwire still trips — containment is repeatable.
+    let resp = engine.execute_grouped(&groups[1..]);
     assert!(resp.groups.iter().all(|r| r.is_ok()));
+    let resp = engine.execute_grouped(&groups);
+    assert!(matches!(resp.groups[0], Err(EngineError::Panicked { .. })));
+    assert!(resp.groups[1].is_ok() && resp.groups[2].is_ok());
 }

@@ -306,7 +306,7 @@ pub enum ResponseStatus {
         budget: u32,
     },
     /// The engine could not serve the request's group (bad fault set or a
-    /// contained worker panic). Nothing partial is returned.
+    /// contained engine panic). Nothing partial is returned.
     EngineFailed,
     /// The server is draining; no new work is accepted.
     ShuttingDown,

@@ -49,7 +49,6 @@ fn sixty_four_connections_eight_fault_sets_batched_and_correct() {
         &g,
         ServerConfig {
             executors: 2,
-            engine_workers: 2,
             window: Duration::from_millis(4),
             ..ServerConfig::default()
         },
@@ -101,7 +100,6 @@ fn admission_control_answers_server_busy() {
         &g,
         ServerConfig {
             executors: 1,
-            engine_workers: 0,
             window: Duration::from_millis(300),
             pending_budget: 4,
             ..ServerConfig::default()
@@ -164,7 +162,6 @@ fn shutdown_drains_in_flight_window() {
         &g,
         ServerConfig {
             executors: 1,
-            engine_workers: 0,
             window: Duration::from_secs(60),
             ..ServerConfig::default()
         },
@@ -214,7 +211,6 @@ fn expired_ttl_answered_before_elimination() {
         &g,
         ServerConfig {
             executors: 1,
-            engine_workers: 0,
             window: Duration::from_millis(300),
             ..ServerConfig::default()
         },
@@ -282,7 +278,6 @@ fn watchdog_force_releases_requests_stuck_behind_a_parked_executor() {
         &g,
         ServerConfig {
             executors: 1,
-            engine_workers: 0,
             window: Duration::from_millis(20),
             // Big enough that the flood is admitted (charge = 1/request),
             // so `ServerBusy` can only come from the watchdog.
@@ -480,7 +475,6 @@ fn bad_vertex_isolated_within_shared_fault_set_group() {
         &g,
         ServerConfig {
             executors: 1,
-            engine_workers: 0,
             window: Duration::from_millis(300),
             ..ServerConfig::default()
         },
@@ -562,7 +556,6 @@ fn stalled_reader_costs_only_its_own_connection() {
         &g,
         ServerConfig {
             executors: 2,
-            engine_workers: 0,
             window: Duration::from_micros(500),
             pending_budget: 1 << 12,
             write_timeout: Duration::from_millis(100),
@@ -630,7 +623,6 @@ fn bad_fault_set_isolated_to_engine_failed() {
         &g,
         ServerConfig {
             executors: 1,
-            engine_workers: 0,
             window: Duration::from_millis(100),
             ..ServerConfig::default()
         },
@@ -663,4 +655,62 @@ fn bad_fault_set_isolated_to_engine_failed() {
     let stats = handle.shutdown();
     assert_eq!(stats.engine_errors, 1);
     assert_eq!(stats.requests, 1);
+}
+
+/// A panic inside the engine fails only the request whose fault set
+/// triggered it: a co-batched request with another fault set is still
+/// answered, the lone executor survives to serve the next window, and
+/// the panic is counted as one engine error. Every read carries a
+/// deadline, so an executor killed by the panic fails the test instead
+/// of hanging it.
+#[test]
+fn engine_panic_fails_its_request_and_the_executor_survives() {
+    let g = generators::grid(6, 6);
+    let scheme = CycleSpaceScheme::label(&g, 8, Seed::new(7)).unwrap();
+    let store = store_from_cycle_space(&scheme, 8).unwrap();
+    let epochs = Arc::new(EpochStore::new(Arc::new(store)));
+    let poison = EdgeId::new(3);
+    let engine_config = EngineConfig {
+        chaos_panic_edge: Some(poison),
+        ..EngineConfig::default()
+    };
+    let config = ServerConfig {
+        executors: 1,
+        window: Duration::from_millis(100),
+        ..ServerConfig::default()
+    };
+    let handle = Server::spawn(epochs, engine_config, config, "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let read = |stream: &mut TcpStream| {
+        let body = frame::read_frame_deadline(stream, frame::MAX_FRAME_BYTES_DEFAULT, deadline)
+            .unwrap_or_else(|e| panic!("no response before the deadline: {e:?}"));
+        QueryResponseFrame::from_wire(&body).unwrap()
+    };
+    let request = |request_id: u64, faults: Vec<EdgeId>| QueryRequestFrame {
+        request_id,
+        tenant_id: 4,
+        faults,
+        queries: vec![(VertexId::new(0), VertexId::new(35))],
+        ttl_ms: 0,
+    };
+    // Same window: the poisoned group and a healthy one.
+    send_request(&mut stream, &request(1, vec![poison, EdgeId::new(10)]));
+    send_request(&mut stream, &request(2, vec![EdgeId::new(0)]));
+    let (a, b) = (read(&mut stream), read(&mut stream));
+    let (poisoned, healthy) = if a.request_id == 1 { (a, b) } else { (b, a) };
+    assert_eq!(poisoned.status, ResponseStatus::EngineFailed);
+    // One fault never disconnects a grid.
+    assert_eq!(healthy.status, ResponseStatus::Ok(vec![true]));
+    // A later window is still served by the same executor.
+    send_request(&mut stream, &request(3, vec![EdgeId::new(5)]));
+    let later = read(&mut stream);
+    assert_eq!(later.request_id, 3);
+    assert_eq!(later.status, ResponseStatus::Ok(vec![true]));
+    let stats = handle.shutdown();
+    assert_eq!(stats.engine_errors, 1);
+    assert_eq!(stats.requests, 2);
 }
