@@ -55,8 +55,8 @@ pub fn explain(rule: RuleId) -> &'static str {
              Arc::clone/Rc::clone (refcount bumps) are allowed. Arena reuse\n\
              (extend_from_slice, resize, copy_from) is the idiom instead.\n\
              \n\
-             The seeded hot set: Engine::execute's sidecar query path (answer,\n\
-             vertex_anc, the DecodedSidecar accessors), EliminatedFaultSet's\n\
+             The seeded hot set: Engine::execute's query path (answer,\n\
+             vertex_anc, the LabelStore column reads), EliminatedFaultSet's\n\
              per-query checks, ftl-gf2's xor_into/count_ones_and/express_with,\n\
              and the sketch toggle kernels.\n\
              \n\
@@ -121,10 +121,9 @@ pub fn explain(rule: RuleId) -> &'static str {
              ftl-server, ftl-obs, ftl-chaos, and the\n\
              engine's store.rs/cache.rs) must not use std's default-hasher\n\
              HashMap/HashSet (RandomState is keyed per process, so iteration\n\
-             order — and anything derived from it, like sidecar placement or\n\
-             eviction order — varies run to run). Use ftl_seeded::DetHashMap/\n\
-             DetHashSet, which wrap the same SplitMix64 mixing the shard router\n\
-             already relies on, behind a fixed key.\n\
+             order — and anything derived from it, like cache eviction\n\
+             order — varies run to run). Use ftl_seeded::DetHashMap/\n\
+             DetHashSet, which wrap SplitMix64 mixing behind a fixed key.\n\
              \n\
              clippy.toml's disallowed-types mirrors this workspace-wide for\n\
              explicit RandomState/Mutex/RwLock mentions."

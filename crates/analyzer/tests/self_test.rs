@@ -426,8 +426,8 @@ fn hot_set_is_nonempty_on_the_real_tree() {
         .collect();
     assert!(
         hot.len() >= 8,
-        "expected the seeded hot set (gf2 kernels, sketch toggles, sidecar \
-         accessors), found only: {hot:?}"
+        "expected the seeded hot set (gf2 kernels, sketch toggles, store \
+         column reads), found only: {hot:?}"
     );
     for expected in ["xor_into", "count_ones_and", "express_with", "vertex_anc"] {
         assert!(

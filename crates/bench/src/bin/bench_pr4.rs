@@ -66,9 +66,6 @@ fn main() {
             &scheme,
             EngineConfig {
                 cache_capacity: 0,
-                // This benchmark records the PR 4 serving path; the PR 5
-                // decoded sidecar is measured against it in bench_pr5.
-                use_sidecar: false,
                 ..EngineConfig::default()
             },
         )
@@ -123,16 +120,7 @@ fn main() {
         let mut suite = ftl_bench::standard_suite(&mut rng);
         let grid = suite.remove(0); // grid-8x8
         let scheme = CycleSpaceScheme::label(&grid.graph, 16, Seed::new(8)).expect("connected");
-        // The PR 4 serving path (wire-decoding per lookup): bench_pr5
-        // measures the PR 5 zero-decode sidecar against these numbers.
-        let mut engine = Engine::from_cycle_space(
-            &scheme,
-            EngineConfig {
-                use_sidecar: false,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
+        let mut engine = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
 
         eprintln!("[bench_pr4] scenario: steady-traffic");
         let mut steady = ScenarioConfig::new("steady-traffic", 16);

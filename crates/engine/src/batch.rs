@@ -22,8 +22,8 @@
 //! `O(f²/64)` words instead of a fresh `O(f²·(f+log n)/64)` elimination.
 //! A separating generator is itself the disconnecting cut certificate `F′`.
 
-use crate::store::{DecodedSidecar, StoreError, StoreKey};
-use ftl_cycle_space::{CycleSpaceEdgeLabel, CycleSpaceVertexLabel};
+use crate::store::{LabelStore, StoreError, StoreKey};
+use ftl_cycle_space::CycleSpaceVertexLabel;
 use ftl_gf2::{Basis, BitVec, DecodeScratch};
 use ftl_graph::EdgeId;
 use ftl_labels::AncestryLabel;
@@ -48,8 +48,8 @@ pub struct EliminatedFaultSet {
     /// Fault edge ids, sorted ascending (the canonical order).
     edge_ids: Vec<EdgeId>,
     /// `(position in edge_ids, child pre, child post)` of the tree faults —
-    /// see `tree_child_interval_of` in [`crate::store`] for why one child
-    /// interval captures the whole `on_root_path_of` test.
+    /// see [`LabelStore::tree_child_interval`] for why one child interval
+    /// captures the whole `on_root_path_of` test.
     tree_intervals: Vec<(u32, u32, u32)>,
     /// Null-space generators over positions in `edge_ids`.
     null_gens: Vec<BitVec>,
@@ -58,55 +58,16 @@ pub struct EliminatedFaultSet {
 }
 
 impl EliminatedFaultSet {
-    /// Runs the one-time elimination. `labels[i]` must be the label of
-    /// `edge_ids[i]`, with `edge_ids` sorted ascending and distinct.
-    pub fn eliminate(edge_ids: Vec<EdgeId>, labels: Vec<CycleSpaceEdgeLabel>) -> Self {
-        assert_eq!(edge_ids.len(), labels.len(), "ids/labels misaligned");
-        debug_assert!(
-            edge_ids.windows(2).all(|w| w[0] < w[1]),
-            "ids not canonical"
-        );
-        let f = labels.len();
-        let mut null_gens = Vec::new();
-        let mut rank = 0;
-        let mut tree_intervals = Vec::new();
-        if f > 0 {
-            let b = labels[0].phi.len();
-            let mut basis = Basis::new(b, f);
-            let mut scratch = DecodeScratch::new();
-            for (i, l) in labels.iter().enumerate() {
-                if basis.insert_with(&l.phi, &mut scratch) {
-                    rank += 1;
-                } else {
-                    null_gens.push(scratch.combo().clone());
-                }
-                if let Some((pre, post)) = crate::store::tree_child_interval_of(l) {
-                    tree_intervals.push((i as u32, pre, post));
-                }
-            }
-        }
-        EliminatedFaultSet {
-            edge_ids,
-            tree_intervals,
-            null_gens,
-            rank,
-        }
-    }
-
-    /// [`EliminatedFaultSet::eliminate`] fed straight from a store's
-    /// [`DecodedSidecar`]: `φ` columns are read out of the contiguous
-    /// column bank and the tree intervals were precomputed at freeze time,
-    /// so the elimination touches no `WireReader` and materializes no
-    /// [`CycleSpaceEdgeLabel`]s.
+    /// Runs the one-time elimination over the `φ` columns of a store:
+    /// they are read straight out of its bank and the tree intervals were
+    /// computed at ingest, so the elimination decodes nothing and
+    /// materializes no [`CycleSpaceEdgeLabel`](ftl_cycle_space::CycleSpaceEdgeLabel)s.
+    /// `edge_ids` must be sorted ascending and distinct.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Missing`] if any fault edge has no decoded
-    /// record in the sidecar (callers fall back to the wire path).
-    pub fn eliminate_from_sidecar(
-        edge_ids: Vec<EdgeId>,
-        sidecar: &DecodedSidecar,
-    ) -> Result<Self, StoreError> {
+    /// [`StoreError::Missing`] if any fault edge has no record.
+    pub fn eliminate(edge_ids: Vec<EdgeId>, store: &LabelStore) -> Result<Self, StoreError> {
         debug_assert!(
             edge_ids.windows(2).all(|w| w[0] < w[1]),
             "ids not canonical"
@@ -116,12 +77,11 @@ impl EliminatedFaultSet {
         let mut rank = 0;
         let mut tree_intervals = Vec::new();
         if f > 0 {
-            let b = sidecar.phi_width();
-            let mut basis = Basis::new(b, f);
+            let mut basis = Basis::new(store.phi_width(), f);
             let mut scratch = DecodeScratch::new();
             let mut col = BitVec::zeros(0);
             for (i, &e) in edge_ids.iter().enumerate() {
-                if !sidecar.read_phi_into(e, &mut col) {
+                if !store.read_phi_into(e, &mut col) {
                     return Err(StoreError::Missing(StoreKey::edge(e)));
                 }
                 if basis.insert_with(&col, &mut scratch) {
@@ -129,7 +89,7 @@ impl EliminatedFaultSet {
                 } else {
                     null_gens.push(scratch.combo().clone());
                 }
-                if let Some((pre, post)) = sidecar.tree_child_interval(e) {
+                if let Some((pre, post)) = store.tree_child_interval(e) {
                     tree_intervals.push((i as u32, pre, post));
                 }
             }
@@ -252,8 +212,8 @@ mod tests {
         let mut ids = faults.to_vec();
         ids.sort();
         ids.dedup();
-        let labels = ids.iter().map(|&e| scheme.edge_label(e)).collect();
-        EliminatedFaultSet::eliminate(ids, labels)
+        let store = crate::engine::store_from_cycle_space(scheme, 4).unwrap();
+        EliminatedFaultSet::eliminate(ids, &store).unwrap()
     }
 
     /// The batched parity decoder must agree with the per-query eliminator
@@ -333,7 +293,8 @@ mod tests {
     fn empty_fault_set_always_connected() {
         let g = generators::grid(2, 3);
         let scheme = CycleSpaceScheme::label(&g, 0, Seed::new(2)).unwrap();
-        let efs = EliminatedFaultSet::eliminate(vec![], vec![]);
+        let store = crate::engine::store_from_cycle_space(&scheme, 1).unwrap();
+        let efs = EliminatedFaultSet::eliminate(vec![], &store).unwrap();
         let mut diff = BitVec::zeros(0);
         assert_eq!(efs.num_null_generators(), 0);
         assert!(efs.is_connected(

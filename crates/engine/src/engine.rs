@@ -1,22 +1,18 @@
 //! The query engine: store → batcher → decoder → cache.
 //!
 //! An [`Engine`] serves [`BatchRequest`]s — connectivity queries grouped by
-//! fault set — over a frozen [`LabelStore`] of wire-encoded cycle-space
-//! labels. Each distinct fault set is eliminated **once** (or fetched from
+//! fault set — over a frozen [`LabelStore`] of decoded cycle-space label
+//! columns. Each distinct fault set is eliminated **once** (or fetched from
 //! the LRU cache of eliminated bases, keyed by the canonical fault-set
 //! hash); each query then costs ancestry compares plus a parity test — see
 //! [`crate::batch`] for the math.
 //!
 //! # The zero-decode hot path
 //!
-//! The store's [`DecodedSidecar`](crate::store::DecodedSidecar) holds every
-//! label decoded at freeze time, so the cache-hot path touches no
-//! `WireReader`: vertex lookups are array reads of ancestry intervals, and
-//! elimination (on cache miss) streams `φ` columns straight out of the
-//! sidecar's contiguous bank. Records the sidecar could not place fall
-//! back to wire decoding transparently;
-//! [`EngineConfig::use_sidecar`] `= false` forces the wire path everywhere
-//! (the pre-sidecar behavior, kept as a benchmark baseline).
+//! The store holds every label decoded once at ingest, so serving touches
+//! no `WireReader`: vertex lookups are column reads of ancestry
+//! intervals, and elimination (on cache miss) streams `φ` rows straight
+//! out of the store's bank.
 //!
 //! An engine is single-threaded serving state — cache, scratch, and
 //! decoder arenas — over a store shared behind an `Arc`, so one frozen
@@ -40,7 +36,7 @@
 
 use crate::batch::{canonical_fault_hash, ConnQuery, EliminatedFaultSet};
 use crate::cache::LruCache;
-use crate::store::{LabelStore, LabelStoreBuilder, StoreError};
+use crate::store::{LabelStore, LabelStoreBuilder, StoreError, StoreKey};
 use ftl_cycle_space::{
     CycleSpaceDecoder, CycleSpaceEdgeLabel, CycleSpaceScheme, CycleSpaceVertexLabel,
 };
@@ -54,17 +50,14 @@ use std::sync::Arc;
 /// Engine tuning knobs.
 #[derive(Debug, Copy, Clone)]
 pub struct EngineConfig {
-    /// Store shard count.
+    /// Most chunks (id ranges) each store column family is split into;
+    /// a delta-freeze copies only the chunks it touches.
     pub num_shards: usize,
     /// Capacity of the eliminated-basis LRU cache (0 disables caching).
     pub cache_capacity: usize,
     /// Whether disconnected results carry the cut certificate `F′`
     /// (costs one small allocation per disconnected query).
     pub collect_certificates: bool,
-    /// Whether to serve from the store's decoded sidecar (default). `false`
-    /// forces the wire-decoding path on every lookup — the pre-sidecar
-    /// behavior, kept for benchmarking the zero-decode win.
-    pub use_sidecar: bool,
     /// Chaos hook: panic while resolving any fault set containing this
     /// edge. Exercises the engine's panic containment (`catch_unwind` →
     /// [`EngineError::Panicked`]); `None` (the default) in all production
@@ -78,7 +71,6 @@ impl Default for EngineConfig {
             num_shards: 16,
             cache_capacity: 64,
             collect_certificates: false,
-            use_sidecar: true,
             chaos_panic_edge: None,
         }
     }
@@ -218,7 +210,7 @@ pub struct GroupedResponse {
     pub stats: BatchStats,
 }
 
-/// The sharded, batch-decoding label-query engine: single-threaded serving
+/// The batch-decoding label-query engine: single-threaded serving
 /// state over one (shareable) frozen store.
 ///
 /// The serving state is the eliminated-basis cache, the decode scratch
@@ -312,21 +304,18 @@ impl Engine {
         self.epoch
     }
 
-    /// Encodes every label of a cycle-space scheme to the wire format and
-    /// loads the frozen store — the usual way to stand an engine up. A
-    /// config with `use_sidecar = false` freezes wire-only, skipping the
-    /// sidecar's build time and resident bytes along with its reads.
+    /// Freezes every label of a cycle-space scheme into a store and serves
+    /// it — the usual way to stand an engine up.
     ///
     /// # Errors
     ///
-    /// Fails if a label is too large for its shard's arena
-    /// ([`StoreError::ArenaOverflow`]).
+    /// Fails as [`store_from_cycle_space`] does.
     pub fn from_cycle_space(
         scheme: &CycleSpaceScheme,
         config: EngineConfig,
     ) -> Result<Self, StoreError> {
         Ok(Engine::new(
-            store_from_cycle_space_for(scheme, config.num_shards, config.use_sidecar)?,
+            store_from_cycle_space(scheme, config.num_shards)?,
             config,
         ))
     }
@@ -378,9 +367,9 @@ impl Engine {
 
     /// [`Engine::execute`], but refilling a caller-owned [`BatchResponse`]
     /// instead of allocating a fresh one. A serving loop that keeps one
-    /// response around performs zero heap allocations per cache-hot
-    /// sidecar-served batch once its buffers have warmed up (the runtime
-    /// twin of `ftl-analyzer`'s no-alloc hot-path rule; asserted by the
+    /// response around performs zero heap allocations per cache-hot batch
+    /// once its buffers have warmed up (the runtime twin of
+    /// `ftl-analyzer`'s no-alloc hot-path rule; asserted by the
     /// counting-allocator test `alloc_free.rs`).
     ///
     /// Every fault set is resolved before any query is answered, so a
@@ -507,24 +496,17 @@ impl Engine {
         }
     }
 
-    /// The ancestry interval of `v`: a sidecar array read on the hot path,
-    /// wire decoding only for records the sidecar could not place.
+    /// The ancestry interval of `v`: one column read.
     // ftl-analyzer: hot-path
     #[inline]
     fn vertex_anc(&self, v: VertexId) -> Result<AncestryLabel, EngineError> {
-        if self.config.use_sidecar {
-            if let Some(anc) = self.store.sidecar().vertex_anc(v) {
-                return Ok(anc);
-            }
-        }
-        ftl_obs::global().engine.sidecar_fallbacks.inc();
-        // ftl-analyzer: allow(hot-alloc) wire fallback only for records the sidecar could not place
-        Ok(self.store.vertex_label::<CycleSpaceVertexLabel>(v)?.anc)
+        self.store
+            .vertex_anc(v)
+            .ok_or(EngineError::Store(StoreError::Missing(StoreKey::vertex(v))))
     }
 
     /// Resolves one fault set to its eliminated basis: canonicalise, probe
-    /// the cache, eliminate on miss — from the sidecar's `φ` bank when it
-    /// covers the whole set, from wire otherwise.
+    /// the cache, eliminate from the store's `φ` bank on miss.
     fn resolve_fault_set(
         &mut self,
         faults: &[EdgeId],
@@ -569,16 +551,7 @@ impl Engine {
         // Time the elimination itself (cold path: cache hits returned
         // above) into the process-wide Elimination stage histogram.
         let eliminate_t0 = std::time::Instant::now();
-        let store = &self.store;
-        let efs = if self.config.use_sidecar && store.sidecar().covers_edges(&ids) {
-            EliminatedFaultSet::eliminate_from_sidecar(ids, store.sidecar())?
-        } else {
-            let labels: Vec<CycleSpaceEdgeLabel> = ids
-                .iter()
-                .map(|&e| store.edge_label(e))
-                .collect::<Result<_, _>>()?;
-            EliminatedFaultSet::eliminate(ids, labels)
-        };
+        let efs = EliminatedFaultSet::eliminate(ids, &self.store)?;
         ftl_obs::global().stages.record(
             ftl_obs::Stage::Elimination,
             eliminate_t0.elapsed().as_nanos() as u64,
@@ -641,9 +614,7 @@ impl Engine {
             fault_sets: req.fault_sets.len(),
             ..BatchStats::default()
         };
-        // Decode each fault set's labels once into reusable buffers —
-        // through the sidecar when it covers them (decode-free, like the
-        // batched path), from wire otherwise.
+        // Materialize each fault set's labels once into reusable buffers.
         if self.naive_labels.len() < req.fault_sets.len() {
             self.naive_labels
                 .resize_with(req.fault_sets.len(), Vec::new);
@@ -651,14 +622,10 @@ impl Engine {
         for (buf, fs) in self.naive_labels.iter_mut().zip(&req.fault_sets) {
             buf.clear();
             for &e in fs {
-                let label = if self.config.use_sidecar {
-                    match self.store.sidecar().materialize_edge_label(e) {
-                        Some(l) => l,
-                        None => self.store.edge_label(e)?,
-                    }
-                } else {
-                    self.store.edge_label(e)?
-                };
+                let label = self
+                    .store
+                    .materialize_edge_label(e)
+                    .ok_or(StoreError::Missing(StoreKey::edge(e)))?;
                 buf.push(label);
             }
         }
@@ -726,37 +693,24 @@ pub(crate) fn record_obs_batch(stats: &BatchStats) {
     );
 }
 
-/// Wire-encodes every label of a cycle-space scheme into a frozen store
-/// (with the decoded sidecar).
+/// Freezes every label of a cycle-space scheme into a store.
 ///
 /// # Errors
 ///
-/// Fails if a label is too large for its shard's arena
-/// ([`StoreError::ArenaOverflow`]).
+/// Fails as [`LabelStoreBuilder::freeze`] does; the labels of one scheme
+/// always share one `φ` width.
 pub fn store_from_cycle_space(
     scheme: &CycleSpaceScheme,
     num_shards: usize,
 ) -> Result<LabelStore, StoreError> {
-    store_from_cycle_space_for(scheme, num_shards, true)
-}
-
-fn store_from_cycle_space_for(
-    scheme: &CycleSpaceScheme,
-    num_shards: usize,
-    with_sidecar: bool,
-) -> Result<LabelStore, StoreError> {
     let mut builder = LabelStoreBuilder::new(num_shards);
     for i in 0..scheme.num_vertices() {
         let v = VertexId::new(i);
-        builder.put_vertex_label(v, &scheme.vertex_label(v))?;
+        builder.put_vertex_label(v, &scheme.vertex_label(v));
     }
     for i in 0..scheme.num_edges() {
         let e = EdgeId::new(i);
         builder.put_edge_label(e, &scheme.edge_label(e))?;
     }
-    Ok(if with_sidecar {
-        builder.freeze()
-    } else {
-        builder.freeze_wire_only()
-    })
+    builder.freeze()
 }

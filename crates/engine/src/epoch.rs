@@ -13,9 +13,9 @@
 //!   readers to drain.
 //! * A [`LiveStore`] owns a [`LiveCycleSpace`] (the incrementally
 //!   maintained labeling) plus an `EpochStore`, and turns each removal
-//!   into either a **delta-freeze** — re-encoding only the labels the
-//!   mutation actually dirtied and splicing every untouched shard from the
-//!   previous epoch — or a full rebuild when the live scheme had to
+//!   into either a **delta-freeze** — placing only the labels the
+//!   mutation actually dirtied and sharing every untouched column chunk
+//!   with the previous epoch — or a full rebuild when the live scheme had to
 //!   relabel from scratch. Which path ran, and how long the whole
 //!   mutate-and-publish took, is reported per swap in a [`SwapReport`].
 //!
@@ -27,7 +27,6 @@ use crate::engine::EngineConfig;
 use crate::store::{LabelStore, LabelStoreBuilder, StoreError, StoreKey};
 use ftl_cycle_space::{LiveCycleSpace, LiveError};
 use ftl_graph::{EdgeId, Graph, VertexId};
-use ftl_labels::wire::WireLabel;
 use ftl_seeded::Seed;
 use std::fmt;
 // ftl-analyzer: allow(lock-free) the epoch writer side is the one blessed lock in ftl-engine
@@ -140,10 +139,10 @@ impl EpochStore {
 /// Which freeze path a swap took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwapPath {
-    /// Delta-freeze: only dirtied labels were re-encoded; all untouched
-    /// shards were spliced from the previous epoch.
+    /// Delta-freeze: only dirtied labels were placed; all untouched
+    /// column chunks are shared with the previous epoch.
     Delta {
-        /// Number of re-encoded (upserted) records.
+        /// Number of upserted records.
         upserts: usize,
         /// Number of evicted records.
         removals: usize,
@@ -288,8 +287,7 @@ impl LiveStore {
     }
 
     /// Forces a full relabel + full freeze + publish, regardless of dirty
-    /// state — the escape hatch for reclaiming dead arena bytes after long
-    /// churn, and the honest baseline delta-freezes are measured against.
+    /// state — the honest baseline delta-freezes are measured against.
     ///
     /// # Errors
     ///
@@ -347,24 +345,23 @@ impl LiveStore {
                 SwapPath::FullRebuild,
             )
         } else {
-            let mut upserts: Vec<(StoreKey, Vec<u8>)> =
-                Vec::with_capacity(delta.vertex_upserts.len() + delta.edge_upserts.len());
+            let mut upserts = LabelStoreBuilder::new(self.config.num_shards);
             for &v in &delta.vertex_upserts {
-                upserts.push((StoreKey::vertex(v), self.live.vertex_label(v).to_wire()));
+                upserts.put_vertex_label(v, &self.live.vertex_label(v));
             }
             for &e in &delta.edge_upserts {
-                upserts.push((StoreKey::edge(e), self.live.edge_label(e).to_wire()));
+                upserts.put_edge_label(e, &self.live.edge_label(e))?;
             }
             let mut removals: Vec<StoreKey> =
                 Vec::with_capacity(delta.removed_vertices.len() + delta.removed_edges.len());
             removals.extend(delta.removed_vertices.iter().map(|&v| StoreKey::vertex(v)));
             removals.extend(delta.removed_edges.iter().map(|&e| StoreKey::edge(e)));
             let path = SwapPath::Delta {
-                upserts: upserts.len(),
+                upserts: delta.vertex_upserts.len() + delta.edge_upserts.len(),
                 removals: removals.len(),
             };
             let prev = self.epochs.current();
-            (prev.store().delta_freeze(&upserts, &removals)?, path)
+            (prev.store().delta_freeze_staged(upserts, &removals)?, path)
         };
         let epoch = self.epochs.publish(Arc::new(store));
         let report = SwapReport {
@@ -393,23 +390,19 @@ fn record_obs_swap(report: &SwapReport) {
 ///
 /// # Errors
 ///
-/// Fails if a label is too large for its shard's arena.
+/// Fails as [`LabelStoreBuilder::freeze`] does.
 pub fn full_store_of(
     live: &LiveCycleSpace,
     config: &EngineConfig,
 ) -> Result<LabelStore, StoreError> {
     let mut b = LabelStoreBuilder::new(config.num_shards);
     for v in live.alive_vertices() {
-        b.put_vertex_label(v, &live.vertex_label(v))?;
+        b.put_vertex_label(v, &live.vertex_label(v));
     }
     for e in live.alive_edges() {
         b.put_edge_label(e, &live.edge_label(e))?;
     }
-    Ok(if config.use_sidecar {
-        b.freeze()
-    } else {
-        b.freeze_wire_only()
-    })
+    b.freeze()
 }
 
 #[cfg(test)]
@@ -475,17 +468,12 @@ mod tests {
         ls.remove_vertex(VertexId::new(5)).unwrap();
         // The pinned snapshot still serves its full original content.
         assert_eq!(pinned.store().len(), pinned_len);
-        assert!(pinned
-            .store()
-            .get_bytes(StoreKey::edge(EdgeId::new(0)))
-            .is_some());
+        assert!(pinned.store().has_edge(EdgeId::new(0)));
+        assert!(pinned.store().vertex_anc(VertexId::new(5)).is_some());
         // The current one does not.
-        assert!(ls
-            .epochs()
-            .current()
-            .store()
-            .get_bytes(StoreKey::edge(EdgeId::new(0)))
-            .is_none());
+        let current = ls.epochs().current();
+        assert!(!current.store().has_edge(EdgeId::new(0)));
+        assert!(current.store().vertex_anc(VertexId::new(5)).is_none());
     }
 
     #[test]
@@ -500,13 +488,17 @@ mod tests {
             .unwrap();
         ls.remove_edge(nt).unwrap();
         let after = ls.epochs().current();
-        let shared = (0..after.store().num_shards())
-            .filter(|&i| after.store().shares_shard_with(before.store(), i))
-            .count();
-        // A non-tree removal dirties only its fundamental-cycle tree path;
-        // with 16 shards and a handful of touched records, at least one
-        // shard must splice (in practice most do).
-        assert!(shared >= 1, "no shard was spliced");
+        let chunks = after.store().num_chunks();
+        let shared = after.store().shared_chunks(before.store());
+        // A non-tree removal dirties only its fundamental-cycle tree path
+        // (vertex labels untouched): the copied chunks are the removed
+        // edge's and those of the tree edges whose φ changed, and every
+        // vertex chunk is shared.
+        assert_eq!(chunks, before.store().num_chunks());
+        assert!(
+            shared >= chunks / 2,
+            "only {shared} of {chunks} chunks shared"
+        );
         assert_ne!(after.store().uid(), before.store().uid());
     }
 

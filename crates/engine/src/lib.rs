@@ -1,11 +1,14 @@
-//! `ftl-engine` — the sharded, batch-decoding label-query engine.
+//! `ftl-engine` — the batch-decoding label-query engine.
 //!
 //! The labeling schemes of this workspace build compact labels; this crate
 //! *serves* them. The pipeline is **store → batcher → decoder → cache**:
 //!
-//! * [`store`] — labels live wire-encoded ([`ftl_labels::wire`]) in a
-//!   hash-sharded, frozen [`LabelStore`]; reads are pure `&self` lookups,
-//!   so any number of query threads can share the store lock-free.
+//! * [`store`] — labels live decoded, as columns (ancestry intervals, the
+//!   `φ` bank, tree-edge child intervals) in a frozen [`LabelStore`]
+//!   chunked by id range; wire records ([`ftl_labels::wire`]) are only
+//!   the ingest format, validated on the way in. Reads are pure `&self`
+//!   lookups, so any number of query threads can share the store
+//!   lock-free.
 //! * [`batch`] — queries arrive grouped by fault set ([`BatchRequest`]).
 //!   Each distinct fault set pays **one** GF(2) elimination, which yields
 //!   the null-space generators of its `φ` columns; every query is then a
@@ -53,6 +56,4 @@ pub use scenario::{
     percentile_nearest_rank, run_churn_scenario, run_scenario, ChurnConfig, ChurnReport,
     ChurnRoundReport, FaultModel, RoundReport, ScenarioConfig, ScenarioReport, StretchStats,
 };
-pub use store::{
-    DecodedSidecar, LabelStore, LabelStoreBuilder, Namespace, SketchTreeEntry, StoreError, StoreKey,
-};
+pub use store::{LabelStore, LabelStoreBuilder, Namespace, StoreError, StoreKey};

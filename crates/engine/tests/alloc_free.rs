@@ -1,6 +1,6 @@
 //! The runtime twin of ftl-analyzer's FTL001 (no-alloc hot path): a
 //! counting global allocator proves that a warmed-up serving loop —
-//! cache-hot fault sets, sidecar-served lookups, a reused
+//! cache-hot fault sets, column-served lookups, a reused
 //! [`BatchResponse`] via [`Engine::execute_into`] — performs **zero** heap
 //! allocations per batch. The static rule says the hot closure *cannot*
 //! allocate; this test says the whole serving path *does not*.
@@ -67,7 +67,7 @@ fn warmed_sidecar_batch_allocates_nothing() {
     let g = generators::grid(6, 6);
     let f = 4;
     let scheme = CycleSpaceScheme::label(&g, f, Seed::new(7)).unwrap();
-    let config = EngineConfig::default(); // sidecar on, certificates off
+    let config = EngineConfig::default(); // certificates off
     let mut engine = Engine::from_cycle_space(&scheme, config).unwrap();
 
     // A batch with repeated fault sets and a spread of endpoints.
@@ -99,7 +99,7 @@ fn warmed_sidecar_batch_allocates_nothing() {
     assert_eq!(resp.stats.cache_hits, req.fault_sets.len(), "warm cache");
     let expected = resp.results.clone();
 
-    // The measured runs: cache-hot, sidecar-served, response reused —
+    // The measured runs: cache-hot, column-served, response reused —
     // and instrumented. `execute_into` itself records batch counters and
     // epoch gauges into the global registry; on top of that the loop
     // records a span, a histogram sample, and a counter bump per batch to

@@ -4,8 +4,9 @@
 //! *gracefully*: corrupted / truncated / length-lying wire records,
 //! engine panics mid-batch, readers racing snapshot swaps, adversarial
 //! targeted churn, and stale-cache hazards across epochs. "Gracefully"
-//! means a clean `EngineError` (never a crash), unaffected sibling
-//! queries, and 100% agreement with BFS ground truth after every swap.
+//! means a typed `StoreError` at ingest or a clean `EngineError` (never a
+//! crash), unaffected sibling queries, and 100% agreement with BFS ground
+//! truth after every swap.
 
 // Test code: panicking asserts and progress prints are the point here.
 #![allow(
@@ -18,8 +19,10 @@ use ftl_cycle_space::CycleSpaceScheme;
 use ftl_engine::{
     corrupt_random_bytes, full_store_of, oversize_declared_bits, plan_edge_removals,
     plan_vertex_removals, run_churn_scenario, truncate_record, BatchRequest, ChurnConfig,
-    ConnQuery, Engine, EngineConfig, EngineError, EpochStore, LiveStore, RemovalModel, StoreKey,
+    ConnQuery, Engine, EngineConfig, EngineError, EpochStore, LabelStore, LabelStoreBuilder,
+    LiveStore, RemovalModel, StoreError, StoreKey, SwapPath,
 };
+use ftl_gf2::BitVec;
 use ftl_graph::traversal::connected_avoiding;
 use ftl_graph::{generators, EdgeId, Graph, VertexId};
 use ftl_labels::wire::WireLabel;
@@ -61,105 +64,130 @@ fn non_tree_edge(store: &LiveStore) -> EdgeId {
 
 // ---------------------------------------------------------------- wire chaos
 
-/// Corrupt records published through a delta swap produce clean errors on
-/// the queries that touch them and leave sibling fault sets unharmed.
-#[test]
-fn corrupted_record_errors_cleanly_and_spares_other_queries() {
-    for use_sidecar in [true, false] {
-        let config = EngineConfig {
-            use_sidecar,
-            ..EngineConfig::default()
-        };
-        let g = generators::grid(5, 5);
-        let scheme = CycleSpaceScheme::label(&g, 4, Seed::new(11)).unwrap();
-        let good = Arc::new(ftl_engine::store_from_cycle_space(&scheme, 8).unwrap());
-        let victim = EdgeId::new(7);
-        // Re-encode the victim's record with heavy random corruption and
-        // splice it in through the delta path — the way a disk or network
-        // flip would reach a serving snapshot.
-        let mut bytes = scheme.edge_label(victim).to_wire();
-        let smear = bytes.len() * 2;
-        corrupt_random_bytes(&mut bytes, smear, Seed::new(0xBAD));
-        let bad = good
-            .delta_freeze(&[(StoreKey::edge(victim), bytes)], &[])
-            .unwrap();
-        let epochs = Arc::new(EpochStore::new(good));
-        let mut engine = Engine::over_epochs(Arc::clone(&epochs), config);
-        // Pre-swap: the victim decodes fine.
-        let pre = engine.execute(&batch(vec![victim], &[(0, 24)])).unwrap();
-        assert_eq!(pre.results.len(), 1);
-        epochs.publish(Arc::new(bad));
-        // Post-swap: the fault set naming the corrupt record errors
-        // cleanly — no panic, and the error is a store error (or, if the
-        // corruption happened to keep the record decodable, the answer
-        // still matches ground truth).
-        match engine.execute(&batch(vec![victim], &[(0, 24)])) {
-            Err(EngineError::Store(_)) => {}
-            Err(other) => panic!("unexpected error kind: {other:?}"),
-            Ok(resp) => {
-                let mask = ftl_graph::traversal::forbidden_mask(&g, &[victim]);
-                assert_eq!(
-                    resp.results[0].connected,
-                    connected_avoiding(&g, VertexId::new(0), VertexId::new(24), &mask)
-                );
-            }
-        }
-        // A sibling fault set that never touches the corrupt record still
-        // serves correctly from the same snapshot.
-        let clean = EdgeId::new(20);
-        let resp = engine.execute(&batch(vec![clean], &[(0, 24)])).unwrap();
-        let mask = ftl_graph::traversal::forbidden_mask(&g, &[clean]);
+/// Asserts two stores hold the same columns over ids `0..n` / `0..m`:
+/// presence, ancestry interval, `φ` row, and child interval per id.
+fn assert_same_columns(a: &LabelStore, b: &LabelStore, n: usize, m: usize) {
+    assert_eq!(a.len(), b.len(), "record counts");
+    for v in 0..n {
+        let v = VertexId::new(v);
+        assert_eq!(a.vertex_anc(v), b.vertex_anc(v), "{v:?}");
+    }
+    let (mut pa, mut pb) = (BitVec::zeros(0), BitVec::zeros(0));
+    for e in 0..m {
+        let e = EdgeId::new(e);
+        assert_eq!(a.has_edge(e), b.has_edge(e), "{e:?}");
+        assert_eq!(a.tree_child_interval(e), b.tree_child_interval(e), "{e:?}");
         assert_eq!(
-            resp.results[0].connected,
-            connected_avoiding(&g, VertexId::new(0), VertexId::new(24), &mask),
-            "sidecar={use_sidecar}: clean query infected by corrupt neighbor"
+            a.read_phi_into(e, &mut pa),
+            b.read_phi_into(e, &mut pb),
+            "{e:?}"
         );
+        assert_eq!(pa, pb, "phi of {e:?}");
     }
 }
 
-/// Truncated and length-lying records are rejected with errors, never
-/// panics, on both serving paths.
-#[test]
-fn truncated_and_oversized_records_error_not_panic() {
-    for use_sidecar in [true, false] {
-        let config = EngineConfig {
-            use_sidecar,
-            ..EngineConfig::default()
-        };
-        let g = generators::grid(4, 4);
-        let scheme = CycleSpaceScheme::label(&g, 3, Seed::new(12)).unwrap();
-        let good = Arc::new(ftl_engine::store_from_cycle_space(&scheme, 8).unwrap());
-        let victim = EdgeId::new(3);
-        let wire = scheme.edge_label(victim).to_wire();
-        let corruptions: Vec<Vec<u8>> = vec![
-            {
-                let mut b = wire.clone();
-                let keep = b.len().saturating_sub(2);
-                truncate_record(&mut b, keep);
-                b
-            },
-            {
-                let mut b = wire.clone();
-                truncate_record(&mut b, 3); // shorter than the header
-                b
-            },
-            {
-                let mut b = wire.clone();
-                assert!(oversize_declared_bits(&mut b, 4096));
-                b
-            },
-        ];
-        for (i, bad_bytes) in corruptions.into_iter().enumerate() {
-            let bad = good
-                .delta_freeze(&[(StoreKey::edge(victim), bad_bytes)], &[])
-                .unwrap();
-            let mut engine = Engine::with_shared(Arc::new(bad), config);
-            let out = engine.execute(&batch(vec![victim], &[(0, 15)]));
-            assert!(
-                matches!(out, Err(EngineError::Store(_))),
-                "sidecar={use_sidecar} corruption #{i}: expected clean store error, got {out:?}"
+/// A corrupt `victim` edge record must be rejected at ingest, by both
+/// doors, with `StoreError::Wire`: `delta_freeze` builds nothing, and
+/// `put_bytes` leaves its builder unchanged. The previous epoch keeps its
+/// uid and keeps serving every query — those faulting the victim edge
+/// included — in agreement with BFS.
+fn assert_rejected_at_ingest(
+    g: &Graph,
+    scheme: &CycleSpaceScheme,
+    good: &Arc<LabelStore>,
+    victim: EdgeId,
+    bad: &[u8],
+    what: &str,
+) {
+    let key = StoreKey::edge(victim);
+    let epochs = Arc::new(EpochStore::new(Arc::clone(good)));
+    match good.delta_freeze(&[(key, bad.to_vec())], &[]) {
+        Err(StoreError::Wire(_)) => {}
+        Err(other) => panic!("{what}: delta_freeze: unexpected error {other:?}"),
+        Ok(_) => panic!("{what}: delta_freeze accepted a corrupt record"),
+    }
+
+    let mut builder = LabelStoreBuilder::new(8);
+    for v in 0..g.num_vertices() {
+        let v = VertexId::new(v);
+        builder.put_vertex_label(v, &scheme.vertex_label(v));
+    }
+    for e in 0..g.num_edges() {
+        let e = EdgeId::new(e);
+        builder.put_edge_label(e, &scheme.edge_label(e)).unwrap();
+    }
+    assert!(
+        matches!(builder.put_bytes(key, bad), Err(StoreError::Wire(_))),
+        "{what}: put_bytes accepted a corrupt record"
+    );
+    let built = builder.freeze().unwrap();
+    assert_same_columns(&built, good, g.num_vertices(), g.num_edges());
+
+    let mut engine = Engine::over_epochs(Arc::clone(&epochs), EngineConfig::default());
+    let clean = EdgeId::new(g.num_edges() - 1);
+    for faults in [vec![victim], vec![clean], vec![victim, clean]] {
+        let pairs: Vec<(usize, usize)> = (0..g.num_vertices())
+            .flat_map(|s| (0..g.num_vertices()).map(move |t| (s, t)))
+            .collect();
+        let resp = engine.execute(&batch(faults.clone(), &pairs)).unwrap();
+        let mask = ftl_graph::traversal::forbidden_mask(g, &faults);
+        for (&(s, t), r) in pairs.iter().zip(&resp.results) {
+            assert_eq!(
+                r.connected,
+                connected_avoiding(g, VertexId::new(s), VertexId::new(t), &mask),
+                "{what}: ({s}, {t}) avoiding {faults:?}"
             );
         }
+    }
+    assert_eq!(epochs.current().store().uid(), good.uid(), "{what}");
+}
+
+/// A corrupt record is rejected at ingest with a typed error, and every
+/// query — the ones faulting the victim edge included — keeps being
+/// served from the previous epoch.
+#[test]
+fn corrupted_record_errors_cleanly_and_spares_other_queries() {
+    let g = generators::grid(5, 5);
+    let scheme = CycleSpaceScheme::label(&g, 4, Seed::new(11)).unwrap();
+    let good = Arc::new(ftl_engine::store_from_cycle_space(&scheme, 8).unwrap());
+    let victim = EdgeId::new(7);
+    // Re-encode the victim's record with heavy random corruption, the way
+    // a disk or network flip would reach the ingest path.
+    let mut bytes = scheme.edge_label(victim).to_wire();
+    let smear = bytes.len() * 2;
+    corrupt_random_bytes(&mut bytes, smear, Seed::new(0xBAD));
+    assert_rejected_at_ingest(&g, &scheme, &good, victim, &bytes, "smeared");
+}
+
+/// Truncated and length-lying records are rejected at ingest with typed
+/// errors, never panics.
+#[test]
+fn truncated_and_oversized_records_error_not_panic() {
+    let g = generators::grid(4, 4);
+    let scheme = CycleSpaceScheme::label(&g, 3, Seed::new(12)).unwrap();
+    let good = Arc::new(ftl_engine::store_from_cycle_space(&scheme, 8).unwrap());
+    let victim = EdgeId::new(3);
+    let wire = scheme.edge_label(victim).to_wire();
+    let corruptions: Vec<Vec<u8>> = vec![
+        {
+            let mut b = wire.clone();
+            let keep = b.len().saturating_sub(2);
+            truncate_record(&mut b, keep);
+            b
+        },
+        {
+            let mut b = wire.clone();
+            truncate_record(&mut b, 3); // shorter than the header
+            b
+        },
+        {
+            let mut b = wire.clone();
+            assert!(oversize_declared_bits(&mut b, 4096));
+            b
+        },
+    ];
+    for (i, bad) in corruptions.iter().enumerate() {
+        assert_rejected_at_ingest(&g, &scheme, &good, victim, bad, &format!("corruption #{i}"));
     }
 }
 
@@ -302,6 +330,27 @@ fn epoch_numbers_are_monotone_and_stamped_into_stats() {
 
 // -------------------------------------------------------------- churn chaos
 
+/// Churn never grows the store: a removed record's slot is cleared in
+/// place, so `bytes_total()` stays flat while `len()` falls.
+#[test]
+fn churn_does_not_grow_store_bytes() {
+    let g = generators::grid(16, 16);
+    let mut store = LiveStore::new(&g, 8, Seed::new(0xA7E), EngineConfig::default()).unwrap();
+    let before = store.epochs().current();
+    let (len0, bytes0) = (before.store().len(), before.store().bytes_total());
+    for _ in 0..60 {
+        let report = store.remove_edge(non_tree_edge(&store)).unwrap();
+        assert!(matches!(report.path, SwapPath::Delta { .. }));
+    }
+    let after = store.epochs().current();
+    assert_eq!(after.store().len(), len0 - 60);
+    assert!(
+        after.store().bytes_total() <= bytes0,
+        "60 removals grew the store from {bytes0} to {} bytes",
+        after.store().bytes_total()
+    );
+}
+
 /// Adversarial targeted removal rounds: highest-degree victims first,
 /// every answer checked against BFS truth, and after the final swap every
 /// alive pair is reachable with no transient faults.
@@ -342,9 +391,9 @@ fn targeted_churn_rounds_keep_perfect_reachability() {
 }
 
 /// The delta-freeze path and a from-scratch rebuild of the same surviving
-/// topology are bit-identical: every surviving record byte-for-byte, every
-/// removed key absent, and every query answer (certificates included)
-/// equal.
+/// topology are bit-identical: every surviving record column for column,
+/// every removed key absent, and every query answer (certificates
+/// included) equal.
 #[test]
 fn delta_swaps_match_full_rebuild_bit_for_bit() {
     let g = generators::grid(7, 7);
@@ -363,23 +412,8 @@ fn delta_swaps_match_full_rebuild_bit_for_bit() {
     let live = store.live();
     let delta_built = Arc::clone(store.epochs().current().store());
     let rebuilt = Arc::new(full_store_of(live, &config).unwrap());
-    // Record-level identity over the whole keyspace.
-    for v in 0..g.num_vertices() {
-        let key = StoreKey::vertex(VertexId::new(v));
-        assert_eq!(
-            delta_built.get_bytes(key),
-            rebuilt.get_bytes(key),
-            "vertex {v}"
-        );
-    }
-    for e in 0..g.num_edges() {
-        let key = StoreKey::edge(EdgeId::new(e));
-        assert_eq!(
-            delta_built.get_bytes(key),
-            rebuilt.get_bytes(key),
-            "edge {e}"
-        );
-    }
+    // Column-level identity over the whole keyspace.
+    assert_same_columns(&delta_built, &rebuilt, g.num_vertices(), g.num_edges());
     // Query-level identity, certificates included.
     let alive_edges: Vec<EdgeId> = live.alive_edges().collect();
     let alive_vertices: Vec<VertexId> = live.alive_vertices().collect();

@@ -254,28 +254,20 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// PR 5: zero-decode sidecar and the multi-worker engine.
+// The single serving path and the multi-threaded store.
 // ---------------------------------------------------------------------
 
-/// The zero-decode sidecar path and the wire-decoding path must be
-/// bit-identical — results *and* certificates.
+/// The batched path and the naive oracle, both served from the store's
+/// decoded columns, must agree on every verdict, and their certificates
+/// must name the same cut sets.
 #[test]
 fn sidecar_and_wire_paths_agree() {
     let g = generators::grid(5, 5);
     let scheme = CycleSpaceScheme::label(&g, 6, Seed::new(31)).unwrap();
-    let mut with_sidecar = Engine::from_cycle_space(
+    let mut engine = Engine::from_cycle_space(
         &scheme,
         EngineConfig {
             collect_certificates: true,
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    let mut wire_only = Engine::from_cycle_space(
-        &scheme,
-        EngineConfig {
-            collect_certificates: true,
-            use_sidecar: false,
             ..EngineConfig::default()
         },
     )
@@ -288,12 +280,8 @@ fn sidecar_and_wire_paths_agree() {
             fault_sets,
             queries,
         };
-        let a = with_sidecar.execute(&req).unwrap();
-        let b = wire_only.execute(&req).unwrap();
-        assert_eq!(a.results, b.results, "trial {trial}");
-        let an = with_sidecar.execute_naive(&req).unwrap();
-        let bn = wire_only.execute_naive(&req).unwrap();
-        assert_eq!(an.results, bn.results, "naive trial {trial}");
+        let a = engine.execute(&req).unwrap();
+        let an = engine.execute_naive(&req).unwrap();
         // Batched certificates come back in canonical (sorted) fault order,
         // naive ones in request order — compare them as sets, and the
         // connectivity verdicts exactly.
@@ -312,15 +300,8 @@ fn sidecar_and_wire_paths_agree() {
             }
         }
     }
-    // The sidecar really decoded the whole store.
-    assert_eq!(
-        with_sidecar.store().sidecar().decoded_vertices(),
-        g.num_vertices()
-    );
-    assert_eq!(
-        with_sidecar.store().sidecar().decoded_edges(),
-        g.num_edges()
-    );
+    // Every label made it into the columns.
+    assert_eq!(engine.store().len(), g.num_vertices() + g.num_edges());
 }
 
 /// M plain threads hammering one frozen `Arc<LabelStore>` — each with its
@@ -383,49 +364,4 @@ fn unreferenced_bad_fault_set_rejected_by_both_engines() {
         EngineError::Store(StoreError::Missing(_))
     ));
     assert_eq!(serial.execute_naive(&req).unwrap_err(), serial_err);
-}
-
-/// `freeze_wire_only` skips the sidecar entirely; a wire-path engine over
-/// it answers identically to a sidecar engine over the same labels.
-#[test]
-fn wire_only_freeze_serves_identically_without_sidecar() {
-    use ftl_engine::{LabelStoreBuilder, StoreKey};
-    let g = generators::grid(4, 4);
-    let scheme = CycleSpaceScheme::label(&g, 4, Seed::new(6)).unwrap();
-    let mut builder = LabelStoreBuilder::new(4);
-    for i in 0..g.num_vertices() {
-        let v = VertexId::new(i);
-        builder
-            .put_vertex_label(v, &scheme.vertex_label(v))
-            .unwrap();
-    }
-    for i in 0..g.num_edges() {
-        let e = EdgeId::new(i);
-        builder.put_edge_label(e, &scheme.edge_label(e)).unwrap();
-    }
-    let store = builder.freeze_wire_only();
-    assert_eq!(store.sidecar().decoded_vertices(), 0);
-    assert_eq!(store.sidecar().decoded_edges(), 0);
-    assert!(store
-        .get_bytes(StoreKey::vertex(VertexId::new(0)))
-        .is_some());
-    let mut wire_engine = Engine::new(
-        store,
-        EngineConfig {
-            use_sidecar: false,
-            ..EngineConfig::default()
-        },
-    );
-    let mut sidecar_engine = Engine::from_cycle_space(&scheme, EngineConfig::default()).unwrap();
-    let mut rng = StdRng::seed_from_u64(0xF00);
-    let fault_sets = random_fault_sets(&g, 2, 4, &mut rng);
-    let queries = random_queries(&g, 80, fault_sets.len(), &mut rng);
-    let req = BatchRequest {
-        fault_sets,
-        queries,
-    };
-    assert_eq!(
-        wire_engine.execute(&req).unwrap().results,
-        sidecar_engine.execute(&req).unwrap().results
-    );
 }

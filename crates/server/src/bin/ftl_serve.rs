@@ -4,7 +4,7 @@
 //! The server and its clients agree on the topology via the spec
 //! language (`--graph grid:32x32 --seed 1` must match on both sides; see
 //! `ftl_server::spec`). Labels are built once at startup, frozen into a
-//! sharded store, and published as epoch 1 of an `EpochStore` — each
+//! columnar store, and published as epoch 1 of an `EpochStore` — each
 //! accumulation window pins whatever epoch is current when it executes.
 //!
 //! ```text
@@ -106,7 +106,7 @@ fn run() -> Result<(), String> {
     let store =
         store_from_cycle_space(&scheme, args.shards).map_err(|e| format!("freeze failed: {e}"))?;
     println!(
-        "labeled + frozen in {:.1} ms ({} records, {} wire bytes, {} shards)",
+        "labeled + frozen in {:.1} ms ({} records, {} column bytes, {} shards)",
         t0.elapsed().as_secs_f64() * 1e3,
         store.len(),
         store.bytes_total(),
